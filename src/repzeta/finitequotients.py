@@ -4,16 +4,25 @@ Two ring flavors with the same residue field F_p: integers mod p^k and
 truncated polynomials F_p[t]/(t^k).  Elements are encoded as integers in
 [0, p^k): the residue itself in the first case, the base-p digit string of
 the polynomial in the second (so the uniformizer power pi^j encodes as p^j
-in both).  The group is enumerated by closure from elementary matrices; one
-pair of elementaries per uniformizer power is needed, since over the
-polynomial ring the two classic elementaries only generate the subgroup
-defined over the prime field.
+in both, and a is a unit exactly when a % p != 0).  A matrix (a, b, c, d)
+encodes as ((a m + b) m + c) m + d with m = p^k, so sorting codes sorts
+matrices lexicographically.
+
+The group is enumerated directly as the solutions of ad - bc = 1, and a
+build raises unless they number exactly the predicted order, all distinct.
+Each generator then acts on the sorted elements as an index permutation,
+and one orbit routine takes the connected components of such permutations.
+Under left multiplication there must be exactly one component, which
+certifies the generator set: one pair of elementaries per uniformizer power
+is needed, since over the polynomial ring the two classic elementaries only
+generate the subgroup defined over the prime field.  Under conjugation the
+components are the conjugacy classes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -21,14 +30,17 @@ from .errors import BudgetExceededError
 from .numtheory import is_prime
 
 DEFAULT_GROUP_BUDGET = 200_000
-FULL_CONJUGATION_THRESHOLD = 50_000
 _MAX_TABLE_SIZE = 2048  # polynomial flavor builds size*size op tables
 
 Matrix = tuple[int, int, int, int]
+_IDENTITY: Matrix = (1, 0, 0, 1)
 
 
 class QuotientRing:
-    """Finite local ring of size p^k: Z/p^k ("char0") or F_p[t]/t^k ("charp")."""
+    """Finite local ring of size p^k: Z/p^k ("char0") or F_p[t]/t^k ("charp").
+
+    `mul`, `add` and `neg` act elementwise on encoded numpy arrays or ints.
+    """
 
     def __init__(self, p: int, k: int, flavor: str = "char0"):
         if flavor not in ("char0", "charp"):
@@ -47,92 +59,30 @@ class QuotientRing:
         self.zero = 0
         self.one = 1
         if flavor == "char0":
-            m = size
-
-            def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-                a, b, c, d = x
-                e, f, g, h = y
-                return ((a * e + b * g) % m, (a * f + b * h) % m,
-                        (c * e + d * g) % m, (c * f + d * h) % m)
-
-            def mat_inv(x: Matrix) -> Matrix:
-                a, b, c, d = x
-                return (d, -b % m, -c % m, a)
-
-            self.mat_mul = mat_mul
-            self.mat_inv = mat_inv
+            self.mul = lambda a, b: a * b % size
+            self.add = lambda a, b: (a + b) % size
+            self.neg = lambda a: -a % size
         else:
             if size > _MAX_TABLE_SIZE:
                 raise ValueError(
                     f"polynomial flavor builds {size}x{size} operation tables; "
                     f"size bound is {_MAX_TABLE_SIZE}"
                 )
-            self._build_tables()
-            mul = self._mul
-            add = self._add
-            neg = self._neg
+            mul, add, neg = _polynomial_tables(p, k)
+            self.mul = lambda a, b: mul[a, b]
+            self.add = lambda a, b: add[a, b]
+            self.neg = lambda a: neg[a]
 
-            def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-                a, b, c, d = x
-                e, f, g, h = y
-                return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
-                        add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
-
-            def mat_inv(x: Matrix) -> Matrix:
-                a, b, c, d = x
-                return (d, neg[b], neg[c], a)
-
-            self.mat_mul = mat_mul
-            self.mat_inv = mat_inv
-
-    def _digits(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
+    def inv(self, a):
+        """Inverse of each unit in a: a^(|R^x| - 1), where |R^x| = p^(k-1)(p-1)."""
+        e = self.p ** (self.k - 1) * (self.p - 1) - 1
+        out = np.ones_like(a)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
         return out
-
-    def _from_digits(self, digits) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def _build_tables(self) -> None:
-        p, k, size = self.p, self.k, self.size
-        all_digits = [self._digits(a) for a in range(size)]
-        add = [[0] * size for _ in range(size)]
-        mul = [[0] * size for _ in range(size)]
-        for a in range(size):
-            da = all_digits[a]
-            for b in range(a, size):
-                db = all_digits[b]
-                s = self._from_digits([(x + y) % p for x, y in zip(da, db)])
-                add[a][b] = s
-                add[b][a] = s
-                conv = [0] * k
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db[: k - i]):
-                            conv[i + j] = (conv[i + j] + x * y) % p
-                m = self._from_digits(conv)
-                mul[a][b] = m
-                mul[b][a] = m
-        self._add = add
-        self._mul = mul
-        self._neg = [self._from_digits([(-x) % p for x in self._digits(a)]) for a in range(size)]
-
-    # --- elementwise ops on numpy arrays (used by the conjugacy search) ---
-
-    def np_tables(self):
-        if self.flavor == "char0":
-            m = self.size
-            return (lambda a, b: (a * b) % m, lambda a, b: (a + b) % m, lambda a: (-a) % m)
-        mul = np.array(self._mul, dtype=np.int64)
-        add = np.array(self._add, dtype=np.int64)
-        neg = np.array(self._neg, dtype=np.int64)
-        return (lambda a, b: mul[a, b], lambda a, b: add[a, b], lambda a: neg[a])
 
     def uniformizer_power(self, j: int) -> int:
         """Encoding of pi^j (p^j or t^j); zero once j >= k."""
@@ -144,6 +94,20 @@ class QuotientRing:
         if self.flavor == "char0":
             return f"Z/{self.p}^{self.k}"
         return f"F_{self.p}[t]/(t^{self.k})"
+
+
+def _polynomial_tables(p: int, k: int):
+    """Addition, multiplication and negation tables of F_p[t]/(t^k), encoded."""
+    r = np.arange(p**k, dtype=np.int32)
+    digits = [r // p**i % p for i in range(k)]
+    add = np.zeros((r.size, r.size), dtype=np.int32)
+    mul = np.zeros_like(add)
+    for n in range(k):
+        add += np.add.outer(digits[n], digits[n]) % p * p**n
+        conv = sum(np.multiply.outer(digits[i], digits[n - i]) for i in range(n + 1))
+        mul += conv % p * p**n
+    neg = sum(-digits[n] % p * p**n for n in range(k))
+    return mul, add, neg
 
 
 def predicted_order(ring: QuotientRing) -> int:
@@ -164,39 +128,34 @@ class FiniteMatrixGroup:
 
 
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
-    """Enumerate SL2 over the ring by closure from elementary matrices.
+    """Enumerate SL2 over the ring and certify its elementary generators.
 
-    Generators are the upper/lower elementaries with every uniformizer power
-    as off-diagonal entry.  The closure must reproduce the predicted order
-    exactly, which certifies both completeness and the generator set.
+    The elements are the solutions of ad - bc = 1, sorted lexicographically.
+    The build raises unless they number exactly the predicted order and are
+    distinct, which certifies completeness.  Generators are the upper/lower
+    elementaries with every uniformizer power as off-diagonal entry; left
+    multiplication by them must map the elements onto themselves and leave
+    one orbit, which certifies that they generate the group.
     """
     order = predicted_order(ring)
     if order > max_order:
         raise BudgetExceededError(
             f"SL2 over {ring.label()} has order {order}, over the budget of {max_order}"
         )
-    one, zero = ring.one, ring.zero
-    gens: list[Matrix] = []
-    for j in range(ring.k):
-        u = ring.uniformizer_power(j)
-        gens.append((one, u, zero, one))
-        gens.append((one, zero, u, one))
-    mat_mul = ring.mat_mul
-    identity: Matrix = (one, zero, zero, one)
-    seen: set[Matrix] = {identity}
-    queue: deque[Matrix] = deque([identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = mat_mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != order:
+    codes, cols = _sl2_elements(ring)
+    if len(codes) != order:
         raise AssertionError(
-            f"closure over {ring.label()} reached {len(seen)} elements, expected {order}"
+            f"enumeration over {ring.label()} found {len(codes)} elements, expected {order}"
         )
-    return FiniteMatrixGroup(ring=ring, generators=tuple(gens), elements=sorted(seen))
+    gens = _elementaries(ring)
+    labels = _orbit_labels(ring, codes, cols, [(g, _IDENTITY) for g in gens])
+    cosets = np.unique(labels).size
+    if cosets != 1:
+        raise AssertionError(
+            f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
+            "so they do not generate SL2"
+        )
+    return FiniteMatrixGroup(ring=ring, generators=gens, elements=_tuples(cols))
 
 
 @dataclass(frozen=True)
@@ -217,87 +176,109 @@ class ConjugacyClasses:
         return hist
 
 
-def conjugacy_classes(
-    group: FiniteMatrixGroup, *, full_threshold: int = FULL_CONJUGATION_THRESHOLD
-) -> ConjugacyClasses:
+def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """Partition the group into conjugacy classes.
 
-    Small groups (order <= full_threshold) conjugate each unvisited element
-    by the whole group at once (vectorized); larger ones close each orbit
-    under conjugation by the generators only.  Both are exact and produce
-    identical, ordering-independent output.
+    The classes are the orbits of conjugation by the group's generators; the
+    elements may come in any order.  Each class is represented by its
+    lexicographically least element, and the classes are listed in the order
+    of their representatives.
     """
-    if group.order <= full_threshold:
-        pairs = _classes_full(group)
-    else:
-        pairs = _classes_generator_orbits(group)
-    pairs.sort()
-    reps = tuple(rep for rep, _ in pairs)
-    sizes = tuple(size for _, size in pairs)
-    if sum(sizes) != group.order:
-        raise AssertionError("conjugacy class sizes do not add up to the group order")
-    return ConjugacyClasses(representatives=reps, sizes=sizes)
-
-
-def _encode(mat: Matrix, m: int) -> int:
-    a, b, c, d = mat
-    return ((a * m + b) * m + c) * m + d
-
-
-def _classes_full(group: FiniteMatrixGroup) -> list[tuple[Matrix, int]]:
     ring = group.ring
-    m = ring.size
-    mul, add, neg = ring.np_tables()
-    arr = np.array(group.elements, dtype=np.int64)
-    ga, gb, gc, gd = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    ia, ib, ic, id_ = gd, neg(gb), neg(gc), ga
-    enc_all = ((ga * m + gb) * m + gc) * m + gd
-    position = {int(e): i for i, e in enumerate(enc_all)}
-    visited = np.zeros(group.order, dtype=bool)
-    out: list[tuple[Matrix, int]] = []
-    for i in range(group.order):
-        if visited[i]:
-            continue
-        xa, xb, xc, xd = group.elements[i]
-        # t = g x, then y = t g^-1, for every g simultaneously
-        t1 = add(mul(ga, xa), mul(gb, xc))
-        t2 = add(mul(ga, xb), mul(gb, xd))
-        t3 = add(mul(gc, xa), mul(gd, xc))
-        t4 = add(mul(gc, xb), mul(gd, xd))
-        y1 = add(mul(t1, ia), mul(t2, ic))
-        y2 = add(mul(t1, ib), mul(t2, id_))
-        y3 = add(mul(t3, ia), mul(t4, ic))
-        y4 = add(mul(t3, ib), mul(t4, id_))
-        encs = np.unique(((y1 * m + y2) * m + y3) * m + y4)
-        for e in encs:
-            visited[position[int(e)]] = True
-        least = int(encs[0])
-        rep = (least // m**3 % m, least // m**2 % m, least // m % m, least % m)
-        out.append((rep, len(encs)))
-    return out
+    codes, cols = _sort_by_code(ring, np.array(group.elements, dtype=np.int32).T)
+    labels = _orbit_labels(ring, codes, cols, [(g, _inverse(ring, g)) for g in group.generators])
+    roots, sizes = np.unique(labels, return_counts=True)
+    return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in cols)),
+                            sizes=tuple(sizes.tolist()))
 
 
-def _classes_generator_orbits(group: FiniteMatrixGroup) -> list[tuple[Matrix, int]]:
-    ring = group.ring
-    mat_mul, mat_inv = ring.mat_mul, ring.mat_inv
-    conjugators = [(g, mat_inv(g)) for g in group.generators]
-    visited: set[Matrix] = set()
-    out: list[tuple[Matrix, int]] = []
-    for x in group.elements:
-        if x in visited:
-            continue
-        orbit = {x}
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g, ginv in conjugators:
-                z = mat_mul(mat_mul(g, y), ginv)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        visited |= orbit
-        out.append((min(orbit), len(orbit)))
-    return out
+def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
+    gens: list[Matrix] = []
+    for j in range(ring.k):
+        u = ring.uniformizer_power(j)
+        gens.append((ring.one, u, ring.zero, ring.one))
+        gens.append((ring.one, ring.zero, u, ring.one))
+    return tuple(gens)
+
+
+def _sl2_elements(ring: QuotientRing):
+    """Every solution of ad - bc = 1, as sorted codes and four entry columns.
+
+    With a a unit, b and c are free and d = a^-1 (1 + bc).  With a a nonunit,
+    b must be a unit, d is free and c = b^-1 (ad - 1).
+    """
+    r = np.arange(ring.size, dtype=np.int32)
+    units, nonunits = r[r % ring.p != 0], r[r % ring.p == 0]
+    a1, b1, c1 = (x.ravel() for x in np.meshgrid(units, r, r, indexing="ij"))
+    d1 = ring.mul(ring.inv(a1), ring.add(ring.one, ring.mul(b1, c1)))
+    a2, b2, d2 = (x.ravel() for x in np.meshgrid(nonunits, units, r, indexing="ij"))
+    c2 = ring.mul(ring.inv(b2), ring.add(ring.mul(a2, d2), ring.neg(ring.one)))
+    cols = tuple(np.concatenate(pair) for pair in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)))
+    a, b, c, d = cols
+    if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == ring.one):
+        raise AssertionError(f"enumeration over {ring.label()} produced ad - bc != 1")
+    return _sort_by_code(ring, cols)
+
+
+def _sort_by_code(ring: QuotientRing, cols):
+    """Sort matrices by code; raise on a duplicate."""
+    if ring.size**2 > np.iinfo(np.int32).max:
+        raise ValueError(f"ring size {ring.size} is too large for int32 entry products")
+    codes = _image_codes(ring, _IDENTITY, _IDENTITY, cols)
+    by_code = np.argsort(codes)
+    codes = codes[by_code]
+    if np.any(codes[1:] == codes[:-1]):
+        raise AssertionError("the matrices are not distinct")
+    return codes, tuple(col[by_code] for col in cols)
+
+
+def _tuples(cols) -> list[Matrix]:
+    return list(zip(*(col.tolist() for col in cols)))
+
+
+def _inverse(ring: QuotientRing, g: Matrix) -> Matrix:
+    a, b, c, d = g
+    return (d, ring.neg(b), ring.neg(c), a)
+
+
+def _image_codes(ring: QuotientRing, g: Matrix, h: Matrix, cols):
+    """Codes of g x h for every x: entry (i, j) is the sum of g_ik x_kl h_lj."""
+    code = np.zeros(len(cols[0]), dtype=np.int64)
+    for i in (0, 1):
+        for j in (0, 1):
+            coefs = (ring.mul(g[2 * i + k], h[2 * l + j]) for k in (0, 1) for l in (0, 1))
+            terms = (x if c == 1 else ring.mul(c, x) for c, x in zip(coefs, cols) if c)
+            code *= ring.size
+            code += reduce(ring.add, terms)
+    return code
+
+
+def _orbit_labels(ring: QuotientRing, codes, cols, actions):
+    """Least index in each element's orbit under the maps x -> g x h, (g, h) in actions.
+
+    Each map becomes an index permutation of the sorted elements (an image
+    outside them raises), and the orbits are the connected components of
+    those permutations: min-label propagation along each permutation, then
+    pointer jumping, until nothing changes.  One direction suffices, since a
+    permutation's edges lie on its cycles.
+    """
+    last = len(codes) - 1
+    perms = []
+    for g, h in actions:
+        target = _image_codes(ring, g, h, cols)
+        idx = np.minimum(np.searchsorted(codes, target), last)
+        if not np.array_equal(codes[idx], target):
+            raise AssertionError(f"x -> {g} x {h} maps some element outside the set")
+        perms.append(idx.astype(np.int32))
+    labels = np.arange(len(codes), dtype=np.int32)
+    while True:
+        previous = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        if np.array_equal(labels, previous):
+            return labels
 
 
 def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:

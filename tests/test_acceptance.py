@@ -131,17 +131,7 @@ def test_criterion_6_sandwich_bounds():
     assert not failures, failures
 
 
-def _odd_primes_by_sieve(n: int) -> list[int]:
-    """Odd primes up to n from a plain Eratosthenes sieve, kept apart from the library."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return [p for p in range(3, n + 1) if sieve[p]]
-
-
-def test_criterion_7_divergence_probe_and_stabilization():
+def test_criterion_7_divergence_probe_and_stabilization(odd_primes_by_sieve):
     schedule = [10**2, 10**3, 10**4, 10**5]
     at_two = divergence_probe(2.0, schedule)
     part1 = at_two.strictly_increasing and at_two.exceeds_comparator
@@ -161,7 +151,7 @@ def test_criterion_7_divergence_probe_and_stabilization():
     # S sums to a finite tail for s > 2, so the product stabilizes, but no
     # faster than sum_{p > P} p^(1-s): a move of 1e-6 between 1e4 and 1e5 is
     # out of reach at s = 2.2.
-    primes = _odd_primes_by_sieve(schedule[-1])
+    primes = odd_primes_by_sieve(schedule[-1])
     segments = []
     for lo, hi, log_lo, log_hi in zip(schedule, schedule[1:], above.log_values, above.log_values[1:]):
         segment = [p for p in primes if lo < p <= hi]

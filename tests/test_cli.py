@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 
+import pytest
+
 from repzeta.cli import main
 
 
@@ -63,6 +65,22 @@ def test_census_flavors_agree(capsys):
     assert main(["census", "sl2", "--p", "3", "--k", "1", "--ring", "charp"]) == 0
     b = capsys.readouterr().out
     assert "classes: 7" in a and "classes: 7" in b
+
+
+# SHA-256 of the class CSV, recorded before the conjugacy engine was rewritten.
+GOLDEN_CENSUS_SHA256 = [
+    ("3", "3", "char0", "6ac35a3c14f3091fab25fdb7b330bbecfdd079c733e0d450b007cf2e69c69121"),
+    ("5", "2", "charp", "eb49494076a6cbbfdb89348622549473131414a375e76824f2397b555061f9bb"),
+]
+
+
+@pytest.mark.parametrize("p,k,ring,digest", GOLDEN_CENSUS_SHA256)
+def test_census_csv_golden_bytes(tmp_path, p, k, ring, digest):
+    out = tmp_path / "classes.csv"
+    assert main(["census", "sl2", "--p", p, "--k", k, "--ring", ring, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / "classes.csv.manifest.json").read_text())
+    assert manifest["output_sha256"] == digest
 
 
 def test_bounds_audit_subcommand(tmp_path, capsys):

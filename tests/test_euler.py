@@ -103,11 +103,24 @@ def test_probe_at_the_divergence_point():
     assert list(report.comparators_log) == pytest.approx(comparators)
 
 
-def test_probe_above_the_divergence_point_has_shrinking_differences():
-    report = divergence_probe(2.2, [100, 1000, 10_000])
+def test_probe_above_the_divergence_point_follows_the_tail_law(odd_primes_by_sieve):
+    # log zeta_p(s) = p^(1-s) + (4 * 2^s - 1) p^(-s) + O(p^(2-2s)), as derived
+    # in acceptance criterion 7, so on each segment of primes the log-gap lies
+    # between S = sum p^(1-s) and S + 4 * 2^s * E with E = sum p^(-s); both sums
+    # converge for s > 2.  Shrinking differences alone show nothing, since they
+    # shrink at the divergent s = 2 as well.
+    s = 2.2
+    schedule = [100, 1000, 10_000]
+    report = divergence_probe(s, schedule)
     assert report.strictly_increasing
-    assert report.differences_shrink
     assert report.comparators_log is None
+    primes = odd_primes_by_sieve(schedule[-1])
+    logs = report.log_values
+    for lo, hi, log_lo, log_hi in zip(schedule, schedule[1:], logs, logs[1:]):
+        segment = [p for p in primes if lo < p <= hi]
+        S = sum(p ** (1.0 - s) for p in segment)
+        E = sum(p ** (-s) for p in segment)
+        assert S < log_hi - log_lo < S + 4 * 2**s * E, (lo, hi, log_hi - log_lo, S, E)
 
 
 def test_probe_validation():

@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import repzeta.finitequotients as fq
 from repzeta.errors import BudgetExceededError
 from repzeta.finitequotients import (
     FiniteMatrixGroup,
@@ -14,6 +16,7 @@ from repzeta.finitequotients import (
     conjugacy_classes,
     predicted_order,
 )
+from repzeta.sl2local import sl2_class_count
 
 EXPECTED_COUNTS = {(3, 1): 7, (3, 2): 25, (5, 1): 9, (7, 1): 11}
 
@@ -46,12 +49,42 @@ def test_identity_is_a_singleton_class():
     assert classes.sizes[idx] == 1
 
 
-def test_full_and_orbit_paths_agree():
-    group = build_sl2_group(QuotientRing(3, 2, "char0"))
-    full = conjugacy_classes(group, full_threshold=10**9)
-    orbit = conjugacy_classes(group, full_threshold=0)
-    assert full.representatives == orbit.representatives
-    assert full.sizes == orbit.sizes
+@pytest.mark.parametrize("p,k,flavor", [(7, 2, "char0"), (7, 2, "charp"), (3, 4, "charp")])
+def test_larger_levels_match_the_closed_form(p, k, flavor):
+    # The budget comes from the group order, not from sl2local, so the brute
+    # force stays independent of the closed form it is checked against.
+    ring = QuotientRing(p, k, flavor)
+    group = build_sl2_group(ring, max_order=predicted_order(ring))
+    classes = conjugacy_classes(group)
+    assert classes.count == sl2_class_count(p, k) == {7: 81, 3: 241}[p]
+    assert sum(classes.sizes) == group.order
+    assert all(type(x) is int for rep in classes.representatives for x in rep)
+    assert all(type(s) is int for s in classes.sizes)
+
+
+def _left_orbit_count(ring, generators):
+    codes, cols = fq._sl2_elements(ring)
+    labels = fq._orbit_labels(ring, codes, cols, [(g, fq._IDENTITY) for g in generators])
+    return len(set(labels.tolist()))
+
+
+def test_generation_certificate_counts_cosets():
+    # The two classic elementaries generate SL2(Z/9) but over F_3[t]/(t^2)
+    # only SL2(F_3), of index 648 / 24 = 27.
+    for flavor, orbits in (("char0", 1), ("charp", 27)):
+        ring = QuotientRing(3, 2, flavor)
+        assert _left_orbit_count(ring, fq._elementaries(ring)[:2]) == orbits
+        assert _left_orbit_count(ring, fq._elementaries(ring)) == 1
+
+
+def test_build_rejects_generators_that_do_not_generate(monkeypatch):
+    # The case the module docstring warns about: the classic pair alone over
+    # the polynomial ring.  The enumeration is complete, but the build must
+    # still refuse a generator set that does not generate.
+    all_elementaries = fq._elementaries
+    monkeypatch.setattr(fq, "_elementaries", lambda ring: all_elementaries(ring)[:2])
+    with pytest.raises(AssertionError, match="27 left orbits"):
+        build_sl2_group(QuotientRing(3, 2, "charp"))
 
 
 def test_element_order_invariance():
@@ -65,6 +98,7 @@ def test_element_order_invariance():
     reshuffled = conjugacy_classes(regrouped)
     assert reshuffled.count == baseline.count
     assert sorted(reshuffled.sizes) == sorted(baseline.sizes)
+    assert reshuffled == baseline
 
 
 def test_ring_flavor_determines_label_but_not_census():
@@ -83,6 +117,29 @@ def test_budget_error_names_predicted_order():
     with pytest.raises(BudgetExceededError) as err:
         build_sl2_group(ring, max_order=100)
     assert "648" in str(err.value)
+
+
+def test_polynomial_ring_arithmetic_and_unit_inverses():
+    p, k = 3, 3
+    charp = QuotientRing(p, k, "charp")
+
+    def digits(a):
+        return [a // p**i % p for i in range(k)]
+
+    def encode(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    for a in range(p**k):
+        da = digits(a)
+        assert charp.neg(a) == encode([-x % p for x in da])
+        for b in range(p**k):
+            db = digits(b)
+            assert charp.add(a, b) == encode([(x + y) % p for x, y in zip(da, db)])
+            product = [sum(da[i] * db[n - i] for i in range(n + 1)) % p for n in range(k)]
+            assert charp.mul(a, b) == encode(product)
+    for ring in (charp, QuotientRing(p, k, "char0")):
+        units = np.array([a for a in range(p**k) if a % p])
+        assert (ring.mul(units, ring.inv(units)) == 1).all()
 
 
 def test_ring_validation():
