@@ -9,7 +9,6 @@ are built on.
 from __future__ import annotations
 
 import csv
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -86,6 +85,14 @@ class DegreeCensus:
                 writer.writerow([d, m, c])
 
     def write_json(self, path) -> None:
+        """Write to_json_dict() as json.dump(..., indent=2, sort_keys=True)
+        would, plus a newline, one entry at a time: the list of entry dicts is
+        never built, so a large census writes in constant extra memory."""
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(f'{{\n  "cap": {self.cap},\n  "entries": [')
+            sep = "\n"
+            for (d, m), c in zip(self.items(), self._cumulative):
+                fh.write(f'{sep}    {{\n      "cumulative": {c},\n      "degree": {d},\n'
+                         f'      "multiplicity": {m}\n    }}')
+                sep = ",\n"
+            fh.write("\n  ]\n}\n" if self.degrees else "]\n}\n")

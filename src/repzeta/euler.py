@@ -5,17 +5,21 @@ factors into a Witten-zeta archimedean part (one factor per archimedean
 place) and the product of the exact SL2 local factors over odd primes.  On
 s in [2, 3] every local factor is squeezed between (1 - q^(1-s))^(-1/2) and
 (1 - q^(1-s))^(-100), so the product inherits divergence at s = 2 from the
-square root of the zeta pole and convergence beyond it.
+square root of the zeta pole and convergence beyond it.  The partial
+product and the divergence probe share one fold over the sieved odd primes:
+log1p of each local factor's excess over 1, summed in ascending order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .census import DegreeCensus
-from .numtheory import is_odd_prime_power, primes_up_to
-from .sl2local import sl2_local_zeta
+from .numtheory import is_odd_prime_power, odd_primes_up_to
+from .sl2local import _excess, sl2_local_zeta
 from .witten import zeta_partial
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
@@ -26,15 +30,23 @@ class EulerProductConfig:
     s: float
     prime_bound: int
     archimedean_exponent: int = 1
-    excluded_primes: frozenset[int] = field(default_factory=lambda: frozenset({2}))
 
     def __post_init__(self):
         if self.prime_bound < 3:
             raise ValueError(f"prime bound must be >= 3, got {self.prime_bound}")
         if self.archimedean_exponent < 0:
             raise ValueError("archimedean exponent must be >= 0")
-        if 2 not in self.excluded_primes:
-            raise ValueError("the even prime has no closed-form local factor; keep 2 excluded")
+
+
+def _odd_prime_fold(s: float, bounds: tuple[int, ...]) -> tuple[list[float], list[float]]:
+    """Log of the odd-prime partial product at each bound (each >= 3), and the
+    s = 2 comparator (1/2) * sum of -log(1 - 1/p): cumulative sums over the
+    sieved odd primes up to the last bound, in ascending order."""
+    primes = odd_primes_up_to(bounds[-1])
+    at = np.searchsorted(primes, bounds, side="right") - 1
+    log_values = np.cumsum(np.log1p(_excess(primes, s)))[at]
+    comparators = -0.5 * np.cumsum(np.log1p(-1.0 / primes))[at]
+    return log_values.tolist(), comparators.tolist()
 
 
 def global_partial_product(
@@ -66,16 +78,16 @@ def global_partial_product(
             cap = witten_census.cap
             tail = cap ** (1.0 - s) / (s - 1.0)
             if tail > ARCHIMEDEAN_TAIL_TOLERANCE:
+                # the least cap N with N^(1-s) / (s-1) within the tolerance
+                need = math.ceil((ARCHIMEDEAN_TAIL_TOLERANCE * (s - 1.0)) ** (1.0 / (1.0 - s)))
                 raise ValueError(
                     f"census cap {cap} leaves archimedean tail ~{tail:.2e} "
-                    f"above {ARCHIMEDEAN_TAIL_TOLERANCE}"
+                    f"above {ARCHIMEDEAN_TAIL_TOLERANCE}; raise the A1 census cap "
+                    f"(--max-dim) to at least {need}"
                 )
         log_total += cfg.archimedean_exponent * math.log(zeta_partial(witten_census, s))
-    for p in primes_up_to(cfg.prime_bound):
-        if p in cfg.excluded_primes:
-            continue
-        log_total += math.log(sl2_local_zeta(p, s))
-    return math.exp(log_total)
+    (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
+    return math.exp(log_total + log_local)
 
 
 @dataclass(frozen=True)
@@ -116,10 +128,9 @@ class DivergenceProbeReport:
     truncated zeta pole), and does so at every step while growing without
     visible bound.  For every s the successive differences of values are
     reported.  They do not by themselves tell convergence from divergence:
-    on a decade schedule they shrink at s = 2 as well as above it (see
-    differences_shrink).  Above s = 2 the log-gap between bounds follows the
-    convergent tail sum over p of p^(1-s), which is what stabilization is
-    judged against.
+    on a decade schedule they shrink at s = 2 as well as above it.  Above
+    s = 2 the log-gap between bounds follows the convergent tail sum over p
+    of p^(1-s), which is what stabilization is judged against.
     """
 
     s: float
@@ -138,16 +149,6 @@ class DivergenceProbeReport:
         if self.comparators_log is None:
             return True
         return all(lv > cv for lv, cv in zip(self.log_values, self.comparators_log))
-
-    @property
-    def differences_shrink(self) -> bool:
-        """True when each difference of successive values is below the last.
-
-        This holds on both sides of the divergence point: at s = 2 the
-        differences on the schedule 1e2..1e5 are about 26.52, 25.61 and
-        25.57, so it is no evidence of convergence.
-        """
-        return all(b < a for a, b in zip(self.differences, self.differences[1:]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,20 +178,7 @@ def divergence_probe(s: float, prime_bounds) -> DivergenceProbeReport:
         raise ValueError("smallest prime bound must be >= 3")
     if not 2 <= s <= 3:
         raise ValueError(f"probe covers s in [2, 3], got {s}")
-    primes = [p for p in primes_up_to(bounds[-1]) if p != 2]
-    log_values = []
-    comparators = []
-    log_acc = 0.0
-    comp_acc = 0.0
-    idx = 0
-    for bound in bounds:
-        while idx < len(primes) and primes[idx] <= bound:
-            p = primes[idx]
-            log_acc += math.log(sl2_local_zeta(p, s))
-            comp_acc += -0.5 * math.log(1.0 - 1.0 / p)
-            idx += 1
-        log_values.append(log_acc)
-        comparators.append(comp_acc)
+    log_values, comparators = _odd_prime_fold(s, bounds)
     values = tuple(math.exp(lv) for lv in log_values)
     diffs = tuple(b - a for a, b in zip(values, values[1:]))
     return DivergenceProbeReport(

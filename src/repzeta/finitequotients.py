@@ -120,7 +120,7 @@ def predicted_order(ring: QuotientRing) -> int:
 class FiniteMatrixGroup:
     ring: QuotientRing
     generators: tuple[Matrix, ...]
-    elements: list[Matrix] = field(repr=False)
+    elements: np.ndarray = field(repr=False)  # int32 rows (a, b, c, d), shape (order, 4)
 
     @property
     def order(self) -> int:
@@ -130,7 +130,8 @@ class FiniteMatrixGroup:
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
     """Enumerate SL2 over the ring and certify its elementary generators.
 
-    The elements are the solutions of ad - bc = 1, sorted lexicographically.
+    The elements are the solutions of ad - bc = 1, sorted lexicographically,
+    as the rows of an int32 array.
     The build raises unless they number exactly the predicted order and are
     distinct, which certifies completeness.  Generators are the upper/lower
     elementaries with every uniformizer power as off-diagonal entry; left
@@ -155,7 +156,7 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
             f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
             "so they do not generate SL2"
         )
-    return FiniteMatrixGroup(ring=ring, generators=gens, elements=_tuples(cols))
+    return FiniteMatrixGroup(ring=ring, generators=gens, elements=np.stack(cols, axis=1))
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     of their representatives.
     """
     ring = group.ring
-    codes, cols = _sort_by_code(ring, np.array(group.elements, dtype=np.int32).T)
+    codes, cols = _sort_by_code(ring, np.asarray(group.elements, dtype=np.int32).T)
     labels = _orbit_labels(ring, codes, cols, [(g, _inverse(ring, g)) for g in group.generators])
     roots, sizes = np.unique(labels, return_counts=True)
     return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in cols)),

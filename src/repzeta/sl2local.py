@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+
+import numpy as np
 
 from .census import DegreeCensus
 from .numtheory import is_odd_prime_power
@@ -38,22 +41,54 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q = {q} is not an odd prime power >= 3")
 
 
+def _families(q):
+    """(degree, multiplicity) of the six level <= 1 families, then the three level-2
+    seeds, one at a time; integer arithmetic, so q may be an int or an int64 array."""
+    yield 1, 1
+    yield q, 1
+    yield q + 1, (q - 3) // 2
+    yield (q + 1) // 2, 2
+    yield q - 1, (q - 1) // 2
+    yield (q - 1) // 2, 2
+    yield (q * q - 1) // 2, 4 * q
+    yield q * q - q, (q * q - 1) // 2
+    yield q * q + q, (q - 1) ** 2 // 2
+
+
 def local_factor(q: int) -> Sl2LocalFactor:
     _check_q(q)
-    finite = (
-        (1, 1),
-        (q, 1),
-        (q + 1, (q - 3) // 2),
-        ((q + 1) // 2, 2),
-        (q - 1, (q - 1) // 2),
-        ((q - 1) // 2, 2),
-    )
-    seeds = (
-        ((q * q - 1) // 2, 4 * q),
-        (q * q - q, (q * q - 1) // 2),
-        (q * q + q, (q - 1) ** 2 // 2),
-    )
-    return Sl2LocalFactor(q=q, finite_terms=finite, geometric_seeds=seeds)
+    families = tuple(_families(q))
+    return Sl2LocalFactor(q=q, finite_terms=families[:6], geometric_seeds=families[6:])
+
+
+def _excess(q, s: float):
+    """Unchecked sl2_local_excess.  Every term is positive, so no digit cancels:
+    degree 1 is left out rather than subtracted, and 1 - q^(1-s) comes from expm1."""
+    families = _families(q)
+    next(families)  # degree 1, the 1 of L_q(s)
+    level_one = sum(m * d ** -s for d, m in islice(families, 5))
+    geometric = sum(m * d ** -s for d, m in families)
+    return level_one + geometric / -np.expm1((1.0 - s) * np.log(q))
+
+
+def sl2_local_excess(q, s: float):
+    """Exact local zeta value minus one, L_q(s) - 1, without forming L_q(s).
+
+    q is an odd prime power, or an array of them small enough that q^2 + q
+    fits in int64; each one is checked, and s > 1.  At q = 999983 and s = 3
+    the excess is about 1e-12, and L_q(s) rounded to a float keeps only four
+    of its digits: take log L_q(s) as log1p of this.
+    """
+    distinct = np.unique(q).tolist()
+    for x in distinct:
+        _check_q(x)
+    if np.ndim(q):
+        if distinct[-1] ** 2 + distinct[-1] > np.iinfo(np.int64).max:
+            raise ValueError(f"q = {distinct[-1]} overflows int64 degrees; pass it as an int")
+        q = np.asarray(q, dtype=np.int64)
+    if not s > 1:
+        raise ValueError(f"s must exceed 1 for the geometric factor to converge, got {s}")
+    return _excess(q, s)
 
 
 def sl2_local_zeta(q: int, s: float) -> float:
@@ -61,12 +96,7 @@ def sl2_local_zeta(q: int, s: float) -> float:
 
     Defined for s > 1 (the geometric factor diverges at s = 1).
     """
-    factor = local_factor(q)
-    if not s > 1:
-        raise ValueError(f"s must exceed 1 for the geometric factor to converge, got {s}")
-    finite = sum(m * d ** (-s) for d, m in factor.finite_terms)
-    seeds = sum(m * d ** (-s) for d, m in factor.geometric_seeds)
-    return finite + seeds / (1.0 - q ** (1.0 - s))
+    return 1.0 + float(sl2_local_excess(q, s))
 
 
 def sl2_degree_census(q: int, k: int) -> DegreeCensus:

@@ -58,6 +58,7 @@ def dimension_census(
             weight[i] += 1
 
     descend(0)
+    del descend  # it holds itself in its closure: free counts now, not at the next full gc
     return DegreeCensus.from_counts(counts, max_dim)
 
 

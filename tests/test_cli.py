@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
 from repzeta.cli import main
+from repzeta.euler import ARCHIMEDEAN_TAIL_TOLERANCE
 
 
 def test_witten_csv_and_manifest(tmp_path, capsys):
@@ -119,6 +121,20 @@ def test_error_exit_code_and_diagnostic(capsys):
     assert "error:" in err and "odd" in err
     assert main(["witten", "--type", "E", "--rank", "9", "--max-dim", "10"]) == 2
     assert main(["probe", "--s", "1.0", "--schedule", "100,1000"]) == 2
+
+
+@pytest.mark.parametrize("s,cap", [(2.2, 3_987_332), (2.5, 164_415)])
+def test_archimedean_tail_error_names_the_cap_that_suffices(capsys, s, cap):
+    def tail(n):
+        return n ** (1.0 - s) / (s - 1.0)
+
+    # the least A1 cap whose tail bound meets the tolerance
+    n = math.ceil((ARCHIMEDEAN_TAIL_TOLERANCE * (s - 1.0)) ** (1.0 / (1.0 - s)))
+    assert tail(n) <= ARCHIMEDEAN_TAIL_TOLERANCE < tail(n - 1)
+    assert n == cap
+    argv = ["euler", "--s", str(s), "--prime-bound", "100", "--max-dim", "100000"]
+    assert main(argv) == 2
+    assert str(n) in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

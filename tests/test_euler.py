@@ -10,7 +10,7 @@ from repzeta.euler import (
     global_partial_product,
     sandwich_check,
 )
-from repzeta.numtheory import odd_prime_powers_up_to, primes_up_to
+from repzeta.numtheory import odd_prime_powers_up_to
 from repzeta.rootsystems import build_root_system
 from repzeta.sl2local import sl2_local_zeta
 from repzeta.witten import dimension_census
@@ -87,17 +87,16 @@ def test_config_validation():
         EulerProductConfig(s=2.5, prime_bound=2)
     with pytest.raises(ValueError):
         EulerProductConfig(s=2.5, prime_bound=100, archimedean_exponent=-1)
-    with pytest.raises(ValueError):
-        EulerProductConfig(s=2.5, prime_bound=100, excluded_primes=frozenset())
 
 
-def test_probe_at_the_divergence_point():
+def test_probe_at_the_divergence_point(odd_primes_by_sieve):
     report = divergence_probe(2.0, [100, 1000, 10_000])
     assert report.strictly_increasing
     assert report.exceeds_comparator
     # comparator is half the log of the zeta pole product
+    primes = odd_primes_by_sieve(10_000)
     comparators = [
-        0.5 * sum(-math.log(1.0 - 1.0 / p) for p in primes_up_to(bound) if p != 2)
+        0.5 * sum(-math.log(1.0 - 1.0 / p) for p in primes if p <= bound)
         for bound in (100, 1000, 10_000)
     ]
     assert list(report.comparators_log) == pytest.approx(comparators)
@@ -121,6 +120,15 @@ def test_probe_above_the_divergence_point_follows_the_tail_law(odd_primes_by_sie
         S = sum(p ** (1.0 - s) for p in segment)
         E = sum(p ** (-s) for p in segment)
         assert S < log_hi - log_lo < S + 4 * 2**s * E, (lo, hi, log_hi - log_lo, S, E)
+
+
+@pytest.mark.parametrize("s", [2.5, 3.0])
+def test_probe_and_product_share_one_fold(s):
+    schedule = [3, 100, 1000, 10_000]
+    report = divergence_probe(s, schedule)
+    for bound, log_value in zip(schedule, report.log_values):
+        cfg = EulerProductConfig(s=s, prime_bound=bound, archimedean_exponent=0)
+        assert log_value == pytest.approx(math.log(global_partial_product(cfg, None)), rel=1e-14)
 
 
 def test_probe_validation():

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repzeta.sl2local import (
     local_factor,
@@ -10,8 +13,11 @@ from repzeta.sl2local import (
     sl2_class_count,
     sl2_degree_census,
     sl2_group_order,
+    sl2_local_excess,
     sl2_local_zeta,
 )
+
+SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
 
 
 def _exact_zeta(q: int, s: int) -> Fraction:
@@ -37,6 +43,51 @@ def test_float_matches_exact_on_grid():
     for q in (3, 5, 7, 9):
         for s in (2, 3, 4):
             assert abs(sl2_local_zeta(q, float(s)) - float(_exact_zeta(q, s))) < 1e-10
+
+
+@pytest.mark.parametrize("q", [999983, 999979])
+def test_excess_keeps_full_precision_near_one(q):
+    # L_q(3) - 1 is about 1e-12 here, so forming L_q(3) first keeps only four
+    # of its digits.
+    exact = _exact_zeta(q, 3) - 1
+    assert abs(Fraction(sl2_local_excess(q, 3.0)) / exact - 1) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    primes=st.lists(st.sampled_from(SMALL_ODD_PRIMES), min_size=1, max_size=8),
+    s=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+)
+def test_array_excess_matches_scalar_forms(primes, s):
+    # An int q is evaluated in Python floats and an array in numpy, whose pow
+    # may round differently in the last bits.
+    excess = sl2_local_excess(np.array(primes, dtype=np.int64), s)
+    assert excess.shape == (len(primes),)
+    for q, value in zip(primes, excess.tolist()):
+        scalar = sl2_local_excess(q, s)
+        assert value == pytest.approx(scalar, rel=16 * np.finfo(float).eps)
+        assert sl2_local_zeta(q, s) == 1.0 + scalar
+
+
+def test_excess_rejects_what_the_local_factor_rejects():
+    with pytest.raises(ValueError):
+        sl2_local_excess(np.array([3, 15]), 2.0)
+    with pytest.raises(ValueError):
+        sl2_local_excess(4, 2.0)
+    with pytest.raises(ValueError):
+        sl2_local_excess(np.array([3, 5]), 1.0)
+    # the least prime above 2^32: its degree q^2 + q would wrap in int64
+    big = 4_294_967_311
+    with pytest.raises(ValueError, match="overflows"):
+        sl2_local_excess(np.array([3, big]), 2.0)
+    # as an int it is exact: L_q(2) - 1 = 1/q + O(q^-2)
+    assert sl2_local_excess(big, 2.0) == pytest.approx(1.0 / big, rel=1e-8)
+
+
+def test_narrow_integer_arrays_are_widened():
+    q = 46349  # the least prime whose square passes 2^31
+    narrow = sl2_local_excess(np.array([q], dtype=np.int32), 2.0)
+    assert narrow[0] == pytest.approx(sl2_local_excess(q, 2.0), rel=16 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25])

@@ -1,9 +1,11 @@
 """Dimension censuses, partial zeta sums, and abscissa estimates."""
 
+import json
 import math
 
 import pytest
 
+from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsystems import build_root_system, weyl_dim
 from repzeta.witten import (
@@ -28,6 +30,20 @@ def test_a1_census_is_counting():
     rs = build_root_system("A", 1)
     census = dimension_census(rs, 50)
     assert dict(census.items()) == {n: 1 for n in range(1, 51)}
+
+
+@pytest.mark.parametrize("census", [
+    DegreeCensus.from_counts({}, 5),
+    DegreeCensus.from_counts({1: 1}, 1),
+    DegreeCensus.from_counts({3: 2, 1: 1, 10**20: 7}, 10**21),
+    dimension_census(build_root_system("A", 2), 1000),
+    dimension_census(build_root_system("E", 8), 10**6),
+], ids=["empty", "one", "wide", "A2", "E8"])
+def test_write_json_streams_the_bytes_of_json_dump(tmp_path, census):
+    path = tmp_path / "census.json"
+    census.write_json(path)
+    expected = json.dumps(census.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
 
 
 def _box_scan(rs, max_dim):
