@@ -38,15 +38,15 @@ class EulerProductConfig:
             raise ValueError("archimedean exponent must be >= 0")
 
 
-def _odd_prime_fold(s: float, bounds: tuple[int, ...]) -> tuple[list[float], list[float]]:
-    """Log of the odd-prime partial product at each bound (each >= 3), and the
-    s = 2 comparator (1/2) * sum of -log(1 - 1/p): cumulative sums over the
-    sieved odd primes up to the last bound, in ascending order."""
+def _odd_prime_fold(s: float, bounds: tuple[int, ...]) -> np.ndarray:
+    """Log of the odd-prime partial product over the primes up to bounds[0] and
+    over each (bounds[i-1], bounds[i]], as row 0; the s = 2 comparator's terms
+    -(1/2) log(1 - 1/p) likewise as row 1.  Each segment is summed on its own
+    (pairwise), so its log-gap keeps full relative precision."""
     primes = odd_primes_up_to(bounds[-1])
-    at = np.searchsorted(primes, bounds, side="right") - 1
-    log_values = np.cumsum(np.log1p(_excess(primes, s)))[at]
-    comparators = -0.5 * np.cumsum(np.log1p(-1.0 / primes))[at]
-    return log_values.tolist(), comparators.tolist()
+    ends = np.searchsorted(primes, bounds, side="right")
+    terms = np.stack((np.log1p(_excess(primes, s)), -0.5 * np.log1p(-1.0 / primes)))
+    return np.array([terms[:, a:b].sum(axis=1) for a, b in zip((0, *ends[:-1]), ends)]).T
 
 
 def global_partial_product(
@@ -178,14 +178,16 @@ def divergence_probe(s: float, prime_bounds) -> DivergenceProbeReport:
         raise ValueError("smallest prime bound must be >= 3")
     if not 2 <= s <= 3:
         raise ValueError(f"probe covers s in [2, 3], got {s}")
-    log_values, comparators = _odd_prime_fold(s, bounds)
+    gaps, comparator_gaps = _odd_prime_fold(s, bounds)
+    log_values = np.cumsum(gaps).tolist()
     values = tuple(math.exp(lv) for lv in log_values)
-    diffs = tuple(b - a for a, b in zip(values, values[1:]))
+    # values[i+1] - values[i] without the cancellation of two rounded values
+    diffs = tuple(v * math.expm1(g) for v, g in zip(values, gaps[1:].tolist()))
     return DivergenceProbeReport(
         s=s,
         prime_bounds=bounds,
         values=values,
         log_values=tuple(log_values),
-        comparators_log=tuple(comparators) if s == 2 else None,
+        comparators_log=tuple(np.cumsum(comparator_gaps).tolist()) if s == 2 else None,
         differences=diffs,
     )

@@ -20,22 +20,21 @@ MAX_PARTITION_SIZE = 40
 
 
 def partitions(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k in reverse lexicographic order: (k) first, (1,..,1) last."""
+    """All partitions of k in reverse lexicographic order: (k) first, (1,..,1) last;
+    each one lowers the last part above 1 of the one before and refills greedily."""
     if k < 1 or k > MAX_PARTITION_SIZE:
         raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(remaining: int, largest: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            prefix.append(part)
-            extend(remaining - part, part)
-            prefix.pop()
-
-    extend(k, k)
+    parts = [k]
+    out = [(k,)]
+    while parts[0] > 1:
+        ones = parts.count(1)
+        del parts[len(parts) - ones:]
+        largest = parts.pop() - 1
+        remaining = ones + largest + 1
+        while remaining:
+            parts.append(min(largest, remaining))
+            remaining -= parts[-1]
+        out.append(tuple(parts))
     return out
 
 
@@ -46,34 +45,39 @@ def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
 
 
-def _check_partition(parts) -> tuple[int, ...]:
-    t = tuple(parts)
-    if not t or any(p < 1 for p in t) or any(a < b for a, b in zip(t, t[1:])):
-        raise ValueError(f"not a partition (weakly decreasing positive parts): {parts!r}")
-    return t
+def _hook_degree(parts: tuple[int, ...], conj: tuple[int, ...]) -> int:
+    """hook_degree of a valid partition whose conjugate is already known."""
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    degree, rem = divmod(math.factorial(sum(parts)), hooks)
+    if rem:
+        raise AssertionError(f"hook product does not divide {sum(parts)}! for {parts}")
+    return degree
 
 
 def hook_degree(parts) -> int:
     """Character degree of S_k at the partition: k! / product of hook lengths."""
-    t = _check_partition(parts)
-    k = sum(t)
-    conj = conjugate_partition(t)
-    hooks = 1
-    for i, row in enumerate(t):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    degree, rem = divmod(math.factorial(k), hooks)
-    if rem:
-        raise AssertionError(f"hook product does not divide {k}! for {t}")
-    return degree
+    t = tuple(parts)
+    if not t or any(p < 1 for p in t) or any(a < b for a, b in zip(t, t[1:])):
+        raise ValueError(f"not a partition (weakly decreasing positive parts): {parts!r}")
+    return _hook_degree(t, conjugate_partition(t))
+
+
+def _transpose_pairs(k: int):
+    """(degree, self-conjugate) once per pair {partition, transpose} of k: both have one degree."""
+    for lam in partitions(k):
+        conj = conjugate_partition(lam)
+        if lam <= conj:
+            yield _hook_degree(lam, conj), lam == conj
 
 
 def sym_degree_census(k: int) -> DegreeCensus:
     """Full degree census of S_k; degree-square sum equals k!."""
     counts: dict[int, int] = {}
-    for lam in partitions(k):
-        d = hook_degree(lam)
-        counts[d] = counts.get(d, 0) + 1
+    for d, self_conjugate in _transpose_pairs(k):
+        counts[d] = counts.get(d, 0) + (1 if self_conjugate else 2)
     census = DegreeCensus.from_counts(counts, max(counts))
     if census.sum_degree_squares() != math.factorial(k):
         raise AssertionError(f"S_{k} census degree-square sum != {k}!")
@@ -90,20 +94,11 @@ def alt_degree_census(k: int) -> DegreeCensus:
     if k < 5:
         raise ValueError(f"alternating census needs k >= 5, got {k}")
     counts: dict[int, int] = {}
-
-    def put(d: int, m: int) -> None:
+    for d, self_conjugate in _transpose_pairs(k):
+        if self_conjugate and d % 2:
+            raise AssertionError(f"a self-conjugate partition of {k} has odd degree {d}")
+        d, m = (d // 2, 2) if self_conjugate else (d, 1)
         counts[d] = counts.get(d, 0) + m
-
-    for lam in partitions(k):
-        conj = conjugate_partition(lam)
-        if lam == conj:
-            d = hook_degree(lam)
-            if d % 2:
-                raise AssertionError(f"self-conjugate partition {lam} has odd degree {d}")
-            put(d // 2, 2)
-        elif lam < conj:
-            # counted once per unordered pair; the transpose side is skipped
-            put(hook_degree(lam), 1)
     census = DegreeCensus.from_counts(counts, max(counts))
     if 2 * census.sum_degree_squares() != math.factorial(k):
         raise AssertionError(f"A_{k} census degree-square sum != {k}!/2")
@@ -138,42 +133,45 @@ def perfect_group_count_bound(census: DegreeCensus, s: float, c: float) -> Perfe
 
     Valid input is the census of a group with exactly one linear character
     (a perfect group); with c = zeta(s) - 1 the inequality always holds, and
-    the result reports where it is tightest.
+    the result reports the least n of least slack.  R is constant between
+    census degrees, so the slack is monotone there: one n per run is read.
     """
     if census.cumulative(1) != 1:
         raise ValueError("count bound needs exactly one degree-1 character (perfect group)")
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    holds = True
     tightest_n = 1
     min_slack = math.inf
-    for n in range(1, census.cap + 1):
-        slack = c * n**s + 1 - census.cumulative(n)
+    for lo, hi in zip(census.degrees, census.degrees[1:] + (census.cap + 1,)):
+        r = census.cumulative(lo)
+        n, last = lo, hi - 1
+        if c < 0:  # the slack falls: bisect for the first n where it reaches its floor
+            floor = c * last**s + 1 - r
+            while n < last:
+                mid = (n + last) // 2
+                if c * mid**s + 1 - r <= floor:
+                    last = mid
+                else:
+                    n = mid + 1
+        slack = c * n**s + 1 - r
         if slack < min_slack:
             min_slack = slack
             tightest_n = n
-        if slack < 0:
-            holds = False
     return PerfectBoundResult(
-        holds=holds, constant=c, exponent=s, tightest_n=tightest_n, min_slack=min_slack
+        holds=min_slack >= 0, constant=c, exponent=s, tightest_n=tightest_n, min_slack=min_slack
     )
 
 
 def sym_alt_count_inequality(k: int) -> bool:
     """Index-2 transfer inequalities between S_k and A_k degree counts.
 
-    For a subgroup of index 2: R_n(A) <= 2 R_{2n}(S) and R_n(S) <= 2 R_n(A),
-    checked for every n up to the larger census cap.
+    For a subgroup of index 2: R_n(A) <= 2 R_{2n}(S) and R_n(S) <= 2 R_n(A) for
+    every n; the right sides never fall, so each is checked where its left side steps.
     """
     sym = sym_degree_census(k)
     alt = alt_degree_census(k)
-    top = max(sym.cap, alt.cap)
-    for n in range(1, top + 1):
-        if alt.cumulative(n) > 2 * sym.cumulative(2 * n):
-            return False
-        if sym.cumulative(n) > 2 * alt.cumulative(n):
-            return False
-    return True
+    return all(alt.cumulative(n) <= 2 * sym.cumulative(2 * n) for n in alt.degrees) and all(
+        sym.cumulative(n) <= 2 * alt.cumulative(n) for n in sym.degrees)
 
 
 def wreath_log_order(ells, j: int) -> float:

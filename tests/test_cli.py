@@ -101,6 +101,31 @@ def test_alt_subcommand(capsys):
     assert "PASS" in text
 
 
+# SHA-256 of the A_24 census, recorded before the partition and hook-degree
+# layer was rewritten.
+GOLDEN_ALT_SHA256 = [
+    ("csv", "e413214ebc01336822f5d3078e8371b10f3145d36b8d279127f4e44ce139ec7d"),
+    ("json", "4f649bae4bb4b39c8102c9fbe7fbb34fb1babe0702a62f2bbb809157cb80429b"),
+]
+
+
+@pytest.mark.parametrize("fmt,digest", GOLDEN_ALT_SHA256)
+def test_alt_golden_bytes(tmp_path, fmt, digest):
+    out = tmp_path / f"a24.{fmt}"
+    argv = ["alt", "--k", "24", "--s", "0.5", "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / f"a24.{fmt}.manifest.json").read_text())
+    assert manifest["output_sha256"] == digest
+
+
+def test_alt_index_check_at_a_large_degree_cap(capsys):
+    # the largest A_24 degree is about 1.17e11: the check reads the counts
+    # only where they step
+    assert main(["alt", "--k", "24", "--check-index"]) == 0
+    assert "index-2 count inequalities: PASS" in capsys.readouterr().out
+
+
 def test_euler_subcommand(capsys):
     assert main(["euler", "--s", "2.5", "--prime-bound", "50"]) == 0
     assert "14.6967529875" in capsys.readouterr().out

@@ -131,6 +131,32 @@ def test_probe_and_product_share_one_fold(s):
         assert log_value == pytest.approx(math.log(global_partial_product(cfg, None)), rel=1e-14)
 
 
+def test_probe_differences_keep_full_relative_precision(odd_primes_by_sieve):
+    # Each difference is taken from its own segment's log-gap; two rounded
+    # values subtracted would keep only the values' absolute accuracy.
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    s = mp.mpf(3)
+    schedule = [100, 1000, 10_000]
+
+    def log_local_factor(q):
+        # the SL2 closed form: six families at level <= 1 (degree 1 left out,
+        # log1p adds it) and three geometric seeds with ratio q^(1-s)
+        q = mp.mpf(q)
+        finite = [(q, 1), (q + 1, (q - 3) / 2), ((q + 1) / 2, 2), (q - 1, (q - 1) / 2),
+                  ((q - 1) / 2, 2)]
+        seeds = [((q * q - 1) / 2, 4 * q), (q * q - q, (q * q - 1) / 2),
+                 (q * q + q, (q - 1) ** 2 / 2)]
+        geometric = sum(m * d**-s for d, m in seeds) / (1 - q ** (1 - s))
+        return mp.log1p(sum(m * d**-s for d, m in finite) + geometric)
+
+    primes = odd_primes_by_sieve(schedule[-1])
+    values = [mp.exp(mp.fsum(log_local_factor(p) for p in primes if p <= b)) for b in schedule]
+    report = divergence_probe(3.0, schedule)
+    for got, lo, hi in zip(report.differences, values, values[1:]):
+        assert abs(got / (hi - lo) - 1) < 1e-13
+
+
 def test_probe_validation():
     with pytest.raises(ValueError):
         divergence_probe(2.0, [100])

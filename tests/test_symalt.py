@@ -1,10 +1,16 @@
 """Partition combinatorics and alternating-group degree censuses."""
 
+import gc
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repzeta.census import DegreeCensus
+from repzeta.rootsystems import build_root_system
 from repzeta.symalt import (
     alt_degree_census,
     alt_zeta,
@@ -18,6 +24,7 @@ from repzeta.symalt import (
     wreath_log_order,
     wreath_tower_conditions,
 )
+from repzeta.witten import dimension_census
 
 
 def test_partition_counts():
@@ -81,6 +88,14 @@ def test_sym_census_mass():
         assert census.total_multiplicity() == len(partitions(k))
 
 
+def test_sym_census_counts_every_partition():
+    # one hook degree per partition: a transpose pair counts twice, a
+    # self-conjugate partition once
+    for k in range(1, 21):
+        expected = Counter(hook_degree(lam) for lam in partitions(k))
+        assert dict(sym_degree_census(k).items()) == expected
+
+
 def test_alt_five_census():
     census = alt_degree_census(5)
     assert dict(census.items()) == {1: 1, 3: 2, 4: 1, 5: 1}
@@ -117,6 +132,44 @@ def test_perfect_group_count_bound():
     assert not res.holds
 
 
+def _scan_every_n(census, s, c):
+    slacks = [c * n**s + 1 - census.cumulative(n) for n in range(1, census.cap + 1)]
+    min_slack = min(slacks)
+    return min_slack >= 0, slacks.index(min_slack) + 1, min_slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.dictionaries(st.integers(2, 500), st.integers(1, 6), max_size=12),
+    headroom=st.integers(0, 60),
+    s=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+    c=st.floats(min_value=-1.0, max_value=3.0),
+)
+# c * n^s + 1 rounds to 1 for n = 1 and 2: the falling slack is flat, and its
+# least n is 1, not the end of the run
+@example(counts={}, headroom=1, s=1.0, c=-1e-300)
+def test_perfect_group_bound_matches_a_scan_of_every_n(counts, headroom, s, c):
+    census = DegreeCensus.from_counts({1: 1, **counts}, max(counts, default=1) + headroom)
+    res = perfect_group_count_bound(census, s, c)
+    assert (res.holds, res.tightest_n, res.min_slack) == _scan_every_n(census, s, c)
+
+
+def test_perfect_group_bound_beyond_a_full_scan():
+    # R steps at 10^20 and the cap is 10^22, far past a scan of every n.  With
+    # c < 0 the slack falls towards the cap, and near it floats round n^s to a
+    # plateau, so the least n of least slack lies below the cap.
+    census = DegreeCensus.from_counts({1: 1, 10**20: 1}, 10**22)
+    res = perfect_group_count_bound(census, 1.0, -0.5)
+
+    def slack(n):
+        return -0.5 * n**1.0 + 1 - census.cumulative(n)
+
+    assert not res.holds
+    assert res.min_slack == slack(10**22)
+    assert res.tightest_n < 10**22
+    assert slack(res.tightest_n) == res.min_slack < slack(res.tightest_n - 1)
+
+
 def test_perfect_group_bound_requires_unique_trivial_character():
     census = sym_degree_census(5)  # two linear characters
     with pytest.raises(ValueError):
@@ -126,6 +179,21 @@ def test_perfect_group_bound_requires_unique_trivial_character():
 def test_index_two_count_inequalities():
     for k in range(5, 11):
         assert sym_alt_count_inequality(k)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: partitions(20),
+    lambda: dimension_census(build_root_system("A", 2), 1000),
+], ids=["partitions", "a2_census"])
+def test_no_reference_cycles(build):
+    # a cycle keeps a call's work alive until the next full collection
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_wreath_log_order_base():
