@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Mapping
 
 
@@ -34,16 +35,11 @@ class DegreeCensus:
             if m < 1:
                 raise ValueError(f"multiplicity for degree {d} must be >= 1, got {m}")
             mults.append(m)
-        running = []
-        total = 0
-        for m in mults:
-            total += m
-            running.append(total)
         return cls(
             cap=cap,
             degrees=tuple(degrees),
             multiplicities=tuple(mults),
-            _cumulative=tuple(running),
+            _cumulative=tuple(accumulate(mults)),
         )
 
     def __len__(self) -> int:

@@ -63,7 +63,9 @@ def local_factor(q: int) -> Sl2LocalFactor:
 
 def _excess(q, s: float):
     """Unchecked sl2_local_excess.  Every term is positive, so no digit cancels:
-    degree 1 is left out rather than subtracted, and 1 - q^(1-s) comes from expm1."""
+    degree 1 is left out rather than subtracted, and 1 - q^(1-s) comes from expm1.
+    s is taken as a float: numpy refuses an int64 array to a negative int power."""
+    s = float(s)
     families = _families(q)
     next(families)  # degree 1, the 1 of L_q(s)
     level_one = sum(m * d ** -s for d, m in islice(families, 5))

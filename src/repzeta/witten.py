@@ -4,18 +4,50 @@ The Witten zeta function of a simple complex group is sum 1/dim^s over the
 irreducibles; enumerating all dominant weights whose Weyl dimension stays
 under a cap gives its census exactly.  Pruning the weight search is sound
 because the dimension is strictly increasing in every weight coordinate.
+
+The census engine walks the first r - 1 weight coordinates with an odometer
+and cuts a prefix as soon as its dimension with the last coordinate t at 0
+exceeds the cap.  For each surviving prefix the largest t within the cap is
+found by doubling t and then bisecting, on exact integer numerators.  Every
+dimension for t = 0..T then comes from one numpy product: the coroot values
+that vary with t, times the product of the constant ones, divided exactly by
+the product of the values at rho.  Every partial product is at most
+cap * rho_product, so the dtype is int64 when that bound is below 2^62 and
+numpy object (Python ints) otherwise, as for E8 and F4 at large caps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError
-from .rootsystems import RootSystem, weyl_dim
+from .rootsystems import RootSystem
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
+
+
+def _last_within(const: int, linear: list[tuple[int, int]], limit: int) -> int:
+    """Largest t with const * prod(v + b*t) <= limit, given that t = 0 qualifies
+    and some b > 0: double t past the limit, then bisect."""
+
+    def within(t: int) -> bool:
+        return const * math.prod(v + b * t for v, b in linear) <= limit
+
+    lo, hi = 0, 1
+    while within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def dimension_census(
@@ -23,43 +55,66 @@ def dimension_census(
 ) -> DegreeCensus:
     """Census of all irreducible dimensions <= max_dim (complete, exact).
 
-    Depth-first search over weight coordinates; a branch is cut as soon as
-    the dimension with the remaining coordinates at zero already exceeds the
-    cap, which is valid by coordinate monotonicity.  Raises
-    BudgetExceededError if more than max_entries irreducibles would be
-    recorded.
+    Walks the first rank - 1 weight coordinates, cutting a prefix as soon as
+    its dimension with the last coordinate at zero exceeds the cap (valid by
+    coordinate monotonicity), and evaluates each surviving prefix along the
+    last coordinate in one exact numpy product.  Raises BudgetExceededError
+    if more than max_entries irreducibles would be recorded.
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
     if max_entries < 1:
         raise ValueError("max_entries must be >= 1")
-    r = rs.rank
-    counts: dict[int, int] = {}
-    weight = [0] * r
+    rho = rs.rho_product
+    limit = max_dim * rho  # dim <= max_dim exactly when its numerator <= limit
+    dtype = np.int64 if limit < 2**62 else object
+    heads = [row[:-1] for row in rs.coroot_matrix]
+    slopes = [row[-1] for row in rs.coroot_matrix]
+    prefix = [0] * (rs.rank - 1)
+    chunks = []
     recorded = 0
-
-    def descend(i: int) -> None:
-        nonlocal recorded
-        while True:
-            d = weyl_dim(rs, weight)
-            if d > max_dim:
-                weight[i] = 0
-                return
-            if i == r - 1:
-                counts[d] = counts.get(d, 0) + 1
-                recorded += 1
-                if recorded > max_entries:
-                    raise BudgetExceededError(
-                        f"dimension census for {rs.label()} exceeded budget of "
-                        f"{max_entries} irreducibles below {max_dim}"
-                    )
-            else:
-                descend(i + 1)
-            weight[i] += 1
-
-    descend(0)
-    del descend  # it holds itself in its closure: free counts now, not at the next full gc
-    return DegreeCensus.from_counts(counts, max_dim)
+    while True:
+        values = [c + sum(b * x for b, x in zip(head, prefix) if b)
+                  for head, c in zip(heads, rs.rho_values)]
+        if math.prod(values) > limit:
+            # the last nonzero coordinate was just raised: reset it, carry left
+            k = max(i for i, x in enumerate(prefix) if x)
+            prefix[k] = 0
+            if k == 0:
+                break
+            prefix[k - 1] += 1
+            continue
+        const = math.prod(v for v, b in zip(values, slopes) if not b)
+        linear = [(v, b) for v, b in zip(values, slopes) if b]
+        last = _last_within(const, linear, limit)
+        recorded += last + 1
+        if recorded > max_entries:
+            raise BudgetExceededError(
+                f"dimension census for {rs.label()} exceeded budget of "
+                f"{max_entries} irreducibles below {max_dim}"
+            )
+        t = np.arange(last + 1, dtype=dtype)
+        num = np.full(last + 1, const, dtype=dtype)
+        for v, b in linear:
+            num *= v + b * t
+        if (num % rho).any():
+            raise AssertionError(
+                f"Weyl dimension formula did not divide exactly along {rs.label()} prefix {prefix}"
+            )
+        chunks.append(num // rho)
+        if not prefix:
+            break
+        prefix[-1] += 1
+    dims, counts = np.unique(np.concatenate(chunks), return_counts=True)
+    del chunks
+    degrees, mults = dims.tolist(), counts.tolist()
+    del dims, counts
+    return DegreeCensus(
+        cap=max_dim,
+        degrees=tuple(degrees),
+        multiplicities=tuple(mults),
+        _cumulative=tuple(accumulate(mults)),
+    )
 
 
 def zeta_partial(census: DegreeCensus, s: float) -> float:

@@ -37,6 +37,28 @@ def test_witten_json_format(tmp_path):
     assert payload["cap"] == 10
 
 
+# SHA-256 of witten output, recorded before the census engine was rewritten;
+# E8 at 1e9 runs on Python ints, the others on int64.
+GOLDEN_WITTEN_SHA256 = [
+    ("A", "1", "1000", "csv", "9e122f0c7b68d50c800d295ecde5a9819bcc3efb1a5f74d2a9f3c66c16f2e150"),
+    ("A", "1", "1000", "json", "492546f118652f069edef965179e49208772829fea7ce913679ba1f5f94d4f5d"),
+    ("A", "2", "100000", "csv", "0bcd11ea8dc5b927f24f62f9be68c332c9bfaf793aa81d792ba7cf1d2737a098"),
+    ("A", "2", "100000", "json", "ac99308c3143eb9d6417eb21d24290f58ac5485698021ff71949945f23beeef1"),
+    ("E", "8", "1000000000", "json", "8c55ac09bc58f290bb8efd4cf995798e7efe2eb75458311bea034b7fa953bc54"),
+]
+
+
+@pytest.mark.parametrize("series,rank,cap,fmt,digest", GOLDEN_WITTEN_SHA256)
+def test_witten_golden_bytes(tmp_path, series, rank, cap, fmt, digest):
+    out = tmp_path / f"census.{fmt}"
+    argv = ["witten", "--type", series, "--rank", rank, "--max-dim", cap,
+            "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / f"census.{fmt}.manifest.json").read_text())
+    assert manifest["output_sha256"] == digest
+
+
 def test_local_subcommand(tmp_path, capsys):
     out = tmp_path / "q3.csv"
     code = main(["local", "--q", "3", "--s", "2.0", "--levels", "2", "--out", str(out)])

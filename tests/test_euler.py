@@ -131,6 +131,16 @@ def test_probe_and_product_share_one_fold(s):
         assert log_value == pytest.approx(math.log(global_partial_product(cfg, None)), rel=1e-14)
 
 
+def test_integer_s_folds_as_its_float():
+    # an int64 array of primes to a negative int power raised ValueError
+    assert divergence_probe(3, [100, 1000]) == divergence_probe(3.0, [100, 1000])
+    by_int, by_float = (
+        global_partial_product(EulerProductConfig(s=s, prime_bound=100, archimedean_exponent=0), None)
+        for s in (3, 3.0)
+    )
+    assert by_int == by_float
+
+
 def test_probe_differences_keep_full_relative_precision(odd_primes_by_sieve):
     # Each difference is taken from its own segment's log-gap; two rounded
     # values subtracted would keep only the values' absolute accuracy.

@@ -1,9 +1,12 @@
 """Dimension censuses, partial zeta sums, and abscissa estimates."""
 
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
@@ -81,6 +84,38 @@ def test_census_matches_box_scan(series, rank):
     assert dict(census.items()) == _box_scan(rs, 10_000)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    group=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                           ("C", 2), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]),
+    cap=st.integers(1, 20_000),
+)
+def test_census_matches_box_scan_at_any_cap(group, cap):
+    rs = build_root_system(*group)
+    assert dict(dimension_census(rs, cap).items()) == _box_scan(rs, cap)
+
+
+@pytest.mark.parametrize("series,rank,cap,fits_int64", [
+    ("F", 4, 191_025, True), ("F", 4, 191_026, False),
+    ("D", 6, 29_184, True), ("D", 6, 29_185, False),
+    ("F", 4, 10**6, False),  # cap * rho_product passes 2^63: int64 would wrap
+])
+def test_census_on_each_side_of_the_int64_switch(series, rank, cap, fits_int64):
+    # every partial product of coroot values is at most cap * rho_product
+    rs = build_root_system(series, rank)
+    assert (cap * rs.rho_product < 2**62) == fits_int64
+    census = dimension_census(rs, cap)
+    assert dict(census.items()) == _box_scan(rs, cap)
+    assert all(type(x) is int for x in census.degrees + census.multiplicities)
+
+
+def test_census_checks_exact_division():
+    # A2 has rho_product 2; with 4 in its place most numerators leave a remainder
+    rs = dataclasses.replace(build_root_system("A", 2), rho_product=4)
+    with pytest.raises(AssertionError, match="divide exactly"):
+        dimension_census(rs, 100)
+
+
 def test_zeta_partial_a1_small():
     rs = build_root_system("A", 1)
     census = dimension_census(rs, 3)
@@ -99,6 +134,34 @@ def test_budget_rejection():
     rs = build_root_system("A", 2)
     with pytest.raises(BudgetExceededError):
         dimension_census(rs, 10_000, max_entries=5)
+
+
+@pytest.mark.parametrize("series,rank,cap", [("A", 1, 1000), ("A", 2, 10_000)])
+def test_budget_is_the_number_of_irreducibles(series, rank, cap):
+    # A1 is one run along the last coordinate; A2 is one run per prefix
+    rs = build_root_system(series, rank)
+    held = dimension_census(rs, cap).total_multiplicity()
+    assert dimension_census(rs, cap, max_entries=held).total_multiplicity() == held
+    with pytest.raises(BudgetExceededError):
+        dimension_census(rs, cap, max_entries=held - 1)
+
+
+def test_a2_partial_sum_below_its_closed_form():
+    """zeta_A2(2) = 4 zeta(6)/3 = 4 pi^6/2835 (Witten 1991; Zagier 1994).
+
+    The A2 dimensions are mn(m + n)/2 over m, n >= 1, so zeta_A2(s) is
+    2^s times the Mordell-Tornheim sum T(s, s, s); T(2, 2, 2) = zeta(6)/3.
+    The partial sum up to N misses sum_{d > N} r_d d^-2, and for d > N
+    d^-2 <= d^-1 / N, so the miss is below zeta_A2(1)/N.  Tornheim's
+    T(1, 1, 1) = 2 zeta(3) gives zeta_A2(1) = 2 T(1, 1, 1) = 4 zeta(3).
+    Every term is positive, so the partial sum lies in
+    [4 pi^6/2835 - 4 zeta(3)/N, 4 pi^6/2835).
+    """
+    zeta3 = 1.2020569031595943
+    n = 10**6
+    value = zeta_partial(dimension_census(build_root_system("A", 2), n), 2.0)
+    closed = 4 * math.pi**6 / 2835
+    assert closed - 4 * zeta3 / n <= value < closed
 
 
 def test_abscissa_estimate_a1_exact():
