@@ -45,7 +45,6 @@ from .rootsystems import (
     witten_abscissa,
 )
 from .sl2local import (
-    local_factor,
     sl1_division_abscissa,
     sl2_class_count,
     sl2_degree_census,
@@ -57,6 +56,7 @@ from .symalt import (
     alt_zeta,
     alt_zeta_exact,
     hook_degree,
+    index_two_count_inequality,
     partitions,
     perfect_group_count_bound,
     sym_alt_count_inequality,
@@ -93,9 +93,9 @@ __all__ = [
     "divergence_probe",
     "global_partial_product",
     "hook_degree",
+    "index_two_count_inequality",
     "isotropic_abscissa_audit",
     "isotropic_case_bound",
-    "local_factor",
     "log_dim_gap",
     "ordered_exp_series_check",
     "partitions",

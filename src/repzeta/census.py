@@ -11,8 +11,16 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Mapping
+
+
+def check_exact_exponent(s) -> None:
+    """An exact Dirichlet sum needs an int s >= 0: d^s must be an integer."""
+    if not isinstance(s, int) or s < 0:
+        raise ValueError(f"exact evaluation needs integer s >= 0, got {s!r}; "
+                         "use zeta(s) for a float value")
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,19 @@ class DegreeCensus:
         """Exact sum of multiplicity * degree^2 (the group order, for a full
         finite-group census)."""
         return sum(m * d * d for d, m in self.items())
+
+    def zeta(self, s: float) -> float:
+        """Dirichlet sum of multiplicity * degree^(-s), added in ascending degree
+        order, one term at a time (float sum() is compensated from Python 3.12)."""
+        total = 0.0
+        for d, m in self.items():
+            total += m * d ** (-s)
+        return total
+
+    def zeta_exact(self, s: int) -> Fraction:
+        """The same sum as an exact rational, at an integer s >= 0."""
+        check_exact_exponent(s)
+        return sum((Fraction(m, d**s) for d, m in self.items()), Fraction(0))
 
     def max_degree(self) -> int:
         return self.degrees[-1] if self.degrees else 0

@@ -24,7 +24,7 @@ from .euler import EulerProductConfig, divergence_probe, global_partial_product
 from .finitequotients import QuotientRing, build_sl2_group, conjugacy_classes
 from .rootsystems import build_root_system
 from .sl2local import sl2_degree_census, sl2_local_zeta
-from .symalt import alt_degree_census, alt_zeta, sym_alt_count_inequality
+from .symalt import alt_degree_census, index_two_count_inequality, sym_degree_census
 from .witten import abscissa_estimate, dimension_census, zeta_partial
 
 
@@ -128,9 +128,9 @@ def _cmd_alt(args) -> int:
     print(f"A_{args.k}: {census.total_multiplicity()} irreducibles, "
           f"max degree {census.max_degree()}")
     if args.s is not None:
-        print(f"zeta at s={_fmt(args.s)}: {_fmt(alt_zeta(args.k, args.s))}")
+        print(f"zeta at s={_fmt(args.s)}: {_fmt(census.zeta(args.s))}")
     if args.check_index:
-        ok = sym_alt_count_inequality(args.k)
+        ok = index_two_count_inequality(sym_degree_census(args.k), census)
         print(f"index-2 count inequalities: {'PASS' if ok else 'FAIL'}")
         if not ok:
             return 1

@@ -20,7 +20,6 @@ import numpy as np
 from .census import DegreeCensus
 from .numtheory import is_odd_prime_power, odd_primes_up_to
 from .sl2local import _excess, sl2_local_zeta
-from .witten import zeta_partial
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
 
@@ -85,7 +84,7 @@ def global_partial_product(
                     f"above {ARCHIMEDEAN_TAIL_TOLERANCE}; raise the A1 census cap "
                     f"(--max-dim) to at least {need}"
                 )
-        log_total += cfg.archimedean_exponent * math.log(zeta_partial(witten_census, s))
+        log_total += cfg.archimedean_exponent * math.log(witten_census.zeta(s))
     (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
     return math.exp(log_total + log_local)
 

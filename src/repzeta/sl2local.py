@@ -9,7 +9,6 @@ with a single geometric factor 1/(1 - q^(1-s)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -17,21 +16,6 @@ import numpy as np
 
 from .census import DegreeCensus
 from .numtheory import is_odd_prime_power
-
-
-@dataclass(frozen=True)
-class Sl2LocalFactor:
-    """Degree/multiplicity families for SL2 over a local ring with odd q.
-
-    finite_terms covers levels 0 and 1 (may contain zero multiplicities for
-    tiny q, dropped from censuses); geometric_seeds lists the level-2
-    families, repeated at level j with degree and multiplicity both times
-    q^(j-2).
-    """
-
-    q: int
-    finite_terms: tuple[tuple[int, int], ...]
-    geometric_seeds: tuple[tuple[int, int], ...]
 
 
 def _check_q(q: int) -> None:
@@ -53,12 +37,6 @@ def _families(q):
     yield (q * q - 1) // 2, 4 * q
     yield q * q - q, (q * q - 1) // 2
     yield q * q + q, (q - 1) ** 2 // 2
-
-
-def local_factor(q: int) -> Sl2LocalFactor:
-    _check_q(q)
-    families = tuple(_families(q))
-    return Sl2LocalFactor(q=q, finite_terms=families[:6], geometric_seeds=families[6:])
 
 
 def _excess(q, s: float):
@@ -109,23 +87,18 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
     scaled by q^(j-2).  Total class count is (q+4) + sum_{j=2..k} q^(j-1)(q+3)
     and the degree-square sum is the group order q^(3k-2) (q^2-1).
     """
-    factor = local_factor(q)
+    _check_q(q)
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
+    families = _families(q)
+    terms = list(islice(families, 6))  # levels 0 and 1
+    seeds = tuple(families)  # level 2
+    terms += [(d * q ** (j - 2), m * q ** (j - 2)) for j in range(2, k + 1) for d, m in seeds]
     counts: dict[int, int] = {}
-
-    def put(d: int, m: int) -> None:
-        if m:
+    for d, m in terms:
+        if m:  # degree q + 1 has multiplicity (q - 3)/2, none at q = 3
             counts[d] = counts.get(d, 0) + m
-
-    for d, m in factor.finite_terms:
-        put(d, m)
-    for j in range(2, k + 1):
-        scale = q ** (j - 2)
-        for d, m in factor.geometric_seeds:
-            put(d * scale, m * scale)
-    cap = max(counts)
-    return DegreeCensus.from_counts(counts, cap)
+    return DegreeCensus.from_counts(counts, max(counts))
 
 
 def sl2_class_count(q: int, k: int) -> int:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import DegreeCensus
+from .census import DegreeCensus, check_exact_exponent
 
 MAX_PARTITION_SIZE = 40
 
@@ -106,17 +106,14 @@ def alt_degree_census(k: int) -> DegreeCensus:
 
 
 def alt_zeta(k: int, s: float) -> float:
-    """Partial (here: complete) zeta sum of A_k at s."""
-    census = alt_degree_census(k)
-    return sum(m * d ** (-s) for d, m in census.items())
+    """Complete zeta sum of A_k at s."""
+    return alt_degree_census(k).zeta(s)
 
 
 def alt_zeta_exact(k: int, s: int) -> Fraction:
     """Exact rational zeta value of A_k at a non-negative integer s."""
-    if s < 0:
-        raise ValueError("exact evaluation needs integer s >= 0")
-    census = alt_degree_census(k)
-    return sum((Fraction(m, d**s) for d, m in census.items()), Fraction(0))
+    check_exact_exponent(s)
+    return alt_degree_census(k).zeta_exact(s)
 
 
 @dataclass(frozen=True)
@@ -162,16 +159,19 @@ def perfect_group_count_bound(census: DegreeCensus, s: float, c: float) -> Perfe
     )
 
 
-def sym_alt_count_inequality(k: int) -> bool:
-    """Index-2 transfer inequalities between S_k and A_k degree counts.
+def index_two_count_inequality(sym: DegreeCensus, alt: DegreeCensus) -> bool:
+    """Index-2 transfer inequalities between the S_k and A_k degree counts.
 
     For a subgroup of index 2: R_n(A) <= 2 R_{2n}(S) and R_n(S) <= 2 R_n(A) for
     every n; the right sides never fall, so each is checked where its left side steps.
     """
-    sym = sym_degree_census(k)
-    alt = alt_degree_census(k)
     return all(alt.cumulative(n) <= 2 * sym.cumulative(2 * n) for n in alt.degrees) and all(
         sym.cumulative(n) <= 2 * alt.cumulative(n) for n in sym.degrees)
+
+
+def sym_alt_count_inequality(k: int) -> bool:
+    """index_two_count_inequality for S_k and A_k."""
+    return index_two_count_inequality(sym_degree_census(k), alt_degree_census(k))
 
 
 def wreath_log_order(ells, j: int) -> float:

@@ -121,10 +121,7 @@ def zeta_partial(census: DegreeCensus, s: float) -> float:
     """Partial zeta sum: multiplicity * degree^(-s), ascending degree order."""
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    total = 0.0
-    for d, m in census.items():
-        total += m * d ** (-s)
-    return total
+    return census.zeta(s)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repzeta import symalt
 from repzeta.cli import main
 from repzeta.euler import ARCHIMEDEAN_TAIL_TOLERANCE
 
@@ -146,6 +147,50 @@ def test_alt_index_check_at_a_large_degree_cap(capsys):
     # only where they step
     assert main(["alt", "--k", "24", "--check-index"]) == 0
     assert "index-2 count inequalities: PASS" in capsys.readouterr().out
+
+
+# Exact stdout, recorded before the Dirichlet sums moved onto DegreeCensus.
+GOLDEN_STDOUT = [
+    ("alt --k 24 --s 0.5 --check-index",
+     "A_24: 804 irreducibles, max degree 117487079424\n"
+     "zeta at s=0.5: 1.5354074326\n"
+     "index-2 count inequalities: PASS\n"),
+    ("alt --k 5 --s 0",
+     "A_5: 5 irreducibles, max degree 5\n"
+     "zeta at s=0: 5\n"),
+    ("witten --type A --rank 2 --max-dim 100000 --zeta 1.0 --estimate-abscissa",
+     "A2: 3451 distinct degrees, 7756 irreducibles of dimension <= 100000\n"
+     "abscissa estimate: 0.70151915368 (raw ratio 0.777927560081, exact rank/kappa 2/3)\n"
+     "zeta partial sum at s=1: 4.64002600601\n"),
+    ("euler --s 2.5 --prime-bound 100",
+     "global partial product (s=2.5, P=100, archimedean exponent 1): 15.0306692154\n"),
+    ("local --q 3 --s 2.0 --levels 3",
+     "local factor q=3 at s=2: 5.17361111111\n"
+     "census q=3 level 3: 79 classes, max degree 36\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", GOLDEN_STDOUT, ids=[a for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, argv, stdout):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("argv,walks", [
+    ("alt --k 12 --s 1.0 --check-index", 2),  # one walk for A_12, one for S_12
+    ("alt --k 12 --s 1.0", 1),
+])
+def test_alt_builds_each_census_once(monkeypatch, capsys, argv, walks):
+    calls = []
+    walk = symalt._transpose_pairs
+
+    def counting(k):
+        calls.append(k)
+        return walk(k)
+
+    monkeypatch.setattr(symalt, "_transpose_pairs", counting)
+    assert main(argv.split()) == 0
+    assert calls == [12] * walks
 
 
 def test_euler_subcommand(capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repzeta.sl2local import (
-    local_factor,
     sl1_division_abscissa,
     sl2_class_count,
     sl2_degree_census,
@@ -21,17 +20,14 @@ SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 
 def _exact_zeta(q: int, s: int) -> Fraction:
-    """Exact rational evaluation at integer s from the declared families."""
-    factor = local_factor(q)
-    total = Fraction(0)
-    for degree, mult in factor.finite_terms:
-        total += Fraction(mult, degree**s)
-    # level-j term of a seed (j >= 2): degree and multiplicity both scale by
-    # q^(j-2), so the degree-power sum is geometric with ratio q^(1-s)
-    ratio = Fraction(1, q ** (s - 1))
-    for degree, mult in factor.geometric_seeds:
-        total += Fraction(mult, degree**s) / (1 - ratio)
-    return total
+    """Exact rational evaluation at integer s from the level-1 and level-2 censuses.
+
+    Level j >= 2 repeats the level-2 families with degree and multiplicity both
+    times q^(j-2), so the levels beyond the first form a geometric series of
+    ratio q^(1-s) that starts at L_2 - L_1.
+    """
+    level_one, level_two = (sl2_degree_census(q, k).zeta_exact(s) for k in (1, 2))
+    return level_one + (level_two - level_one) / (1 - Fraction(1, q ** (s - 1)))
 
 
 def test_q3_value_at_two():
@@ -92,10 +88,9 @@ def test_narrow_integer_arrays_are_widened():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25])
 def test_level_one_identities(q):
-    factor = local_factor(q)
-    mults = [m for _, m in factor.finite_terms]
-    assert sum(mults) == q + 4
-    assert sum(m * d * d for d, m in factor.finite_terms) == q * (q * q - 1)
+    census = sl2_degree_census(q, 1)
+    assert census.total_multiplicity() == q + 4
+    assert census.sum_degree_squares() == q * (q * q - 1)
 
 
 @pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (9, 2)])
@@ -122,29 +117,18 @@ def test_group_order_formula():
 
 
 def test_level_contributions_shrink_geometrically():
-    # successive level sums of m * d^(-2) scale by exactly 1/q
+    # what each level adds to the sum of m * d^(-2) scales by exactly 1/q
     q = 3
-    factor = local_factor(q)
-    seed_sum = Fraction(0)
-    for degree, mult in factor.geometric_seeds:
-        seed_sum += Fraction(mult, degree**2)
-    levels = []
-    for j in range(2, 6):
-        scale = q ** (j - 2)
-        levels.append(seed_sum * Fraction(scale, scale**2))
+    sums = [sl2_degree_census(q, j).zeta_exact(2) for j in range(1, 6)]
+    levels = [b - a for a, b in zip(sums, sums[1:])]
     for a, b in zip(levels, levels[1:]):
         assert b == a / q
 
 
 def test_even_and_composite_q_rejected():
-    with pytest.raises(ValueError):
-        local_factor(4)
-    with pytest.raises(ValueError):
-        local_factor(2)
-    with pytest.raises(ValueError):
-        local_factor(15)
-    with pytest.raises(ValueError):
-        local_factor(1)
+    for q in (4, 2, 15, 1):
+        with pytest.raises(ValueError):
+            sl2_degree_census(q, 1)
 
 
 def test_s_at_or_below_one_rejected():

@@ -112,6 +112,14 @@ def test_alt_zeta_five_exact():
     assert abs(alt_zeta(5, 1.0) - 127.0 / 60.0) < 1e-14
 
 
+@pytest.mark.parametrize("s", [0.5, -1])
+def test_alt_zeta_exact_rejects_what_is_not_an_integer_s_at_least_zero(s):
+    with pytest.raises(ValueError, match=r"use zeta\(s\)"):
+        alt_zeta_exact(5, s)
+    with pytest.raises(ValueError, match=r"use zeta\(s\)"):
+        alt_degree_census(5).zeta_exact(s)
+
+
 def test_alt_zeta_strictly_decreasing_in_k():
     values = [alt_zeta(k, 1.0) for k in range(5, 15)]
     assert all(a > b for a, b in zip(values, values[1:]))

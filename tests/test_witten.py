@@ -164,6 +164,25 @@ def test_a2_partial_sum_below_its_closed_form():
     assert closed - 4 * zeta3 / n <= value < closed
 
 
+def test_c2_partial_sum_below_its_closed_form():
+    """zeta_C2(2) = 36 zeta_so(5)(2, 2, 2, 2) = pi^8/8400 (Komori, Matsumoto and
+    Tsumura, Witten multiple zeta-functions associated with semisimple Lie
+    algebras II).
+
+    The C2 dimensions are uv(u + v)(u + 2v)/6 over u, v >= 1.  By AM-GM,
+    u + v >= 2 sqrt(uv) and u + 2v >= 2 sqrt(2uv), so dim >= (2 sqrt2/3)(uv)^2
+    and zeta_C2(1) <= (3/(2 sqrt2)) zeta(2)^2.  For d > N, d^-2 < d^-1 / N, so
+    the partial sum up to N misses less than zeta_C2(1)/N.  Every term is
+    positive, so the partial sum lies in
+    [pi^8/8400 - (3/(2 sqrt2)) zeta(2)^2/N, pi^8/8400).
+    """
+    zeta2 = math.pi**2 / 6
+    n = 10**6
+    value = zeta_partial(dimension_census(build_root_system("C", 2), n), 2.0)
+    closed = math.pi**8 / 8400
+    assert closed - 3 / (2 * math.sqrt(2)) * zeta2**2 / n <= value < closed
+
+
 def test_abscissa_estimate_a1_exact():
     rs = build_root_system("A", 1)
     census = dimension_census(rs, 100_000)
