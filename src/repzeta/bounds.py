@@ -123,10 +123,8 @@ def _fallback_types(label: str, x: int) -> list[tuple[str, int]]:
 
 
 def _coxeter(series: str, rank: int) -> int:
-    # degenerate low ranks that the table refuses but the audit can meet
+    # the table refuses C1 = A1, which case d meets at x = 1
     if series == "C" and rank == 1:
-        return 2  # C1 = A1
-    if series == "B" and rank == 1:
         return 2
     return coxeter_number(series, rank)
 

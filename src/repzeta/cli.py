@@ -33,12 +33,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_manifest(out_path: str, subcommand: str, params: dict) -> None:
-    digest = hashlib.sha256(open(out_path, "rb").read()).hexdigest()
+    digest = hashlib.sha256()
+    with open(out_path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
     manifest = {
         "subcommand": subcommand,
         "parameters": {k: v for k, v in sorted(params.items())},
         "version": __version__,
-        "output_sha256": digest,
+        "output_sha256": digest.hexdigest(),
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

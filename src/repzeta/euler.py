@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import DegreeCensus
-from .numtheory import is_odd_prime_power, odd_primes_up_to
+from .numtheory import odd_primes_up_to
 from .sl2local import _excess, sl2_local_zeta
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
@@ -106,14 +106,13 @@ def sandwich_check(q: int, s: float) -> SandwichResult:
     """Check (1-q^(1-s))^(-1/2) < local factor < (1-q^(1-s))^(-100) on s in [2,3]."""
     if not 2 <= s <= 3:
         raise ValueError(f"sandwich is stated for s in [2, 3], got {s}")
-    if not is_odd_prime_power(q) or q < 3:
-        raise ValueError(f"q must be an odd prime power >= 3, got {q}")
+    value = sl2_local_zeta(q, s)  # checks q before base**-0.5 divides by zero at q = 1
     base = 1.0 - q ** (1.0 - s)
     return SandwichResult(
         q=q,
         s=s,
         lower=base**-0.5,
-        value=sl2_local_zeta(q, s),
+        value=value,
         upper=base**-100.0,
     )
 

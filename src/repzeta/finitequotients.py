@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetExceededError
-from .numtheory import is_prime
+from .numtheory import prime_power
 
 DEFAULT_GROUP_BUDGET = 200_000
 _MAX_TABLE_SIZE = 2048  # polynomial flavor builds size*size op tables
@@ -45,7 +45,7 @@ class QuotientRing:
     def __init__(self, p: int, k: int, flavor: str = "char0"):
         if flavor not in ("char0", "charp"):
             raise ValueError(f"flavor must be 'char0' or 'charp', got {flavor!r}")
-        if p < 3 or p % 2 == 0 or not is_prime(p):
+        if p % 2 == 0 or prime_power(p) != (p, 1):
             raise ValueError(f"p must be an odd prime, got {p}")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -83,12 +83,6 @@ class QuotientRing:
             a = self.mul(a, a)
             e >>= 1
         return out
-
-    def uniformizer_power(self, j: int) -> int:
-        """Encoding of pi^j (p^j or t^j); zero once j >= k."""
-        if j < 0:
-            raise ValueError("exponent must be >= 0")
-        return self.p**j if j < self.k else 0
 
     def label(self) -> str:
         if self.flavor == "char0":
@@ -170,12 +164,6 @@ class ConjugacyClasses:
     def count(self) -> int:
         return len(self.representatives)
 
-    def size_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for s in self.sizes:
-            hist[s] = hist.get(s, 0) + 1
-        return hist
-
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """Partition the group into conjugacy classes.
@@ -196,7 +184,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
 def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
     gens: list[Matrix] = []
     for j in range(ring.k):
-        u = ring.uniformizer_power(j)
+        u = ring.p**j  # pi^j, in either flavor
         gens.append((ring.one, u, ring.zero, ring.one))
         gens.append((ring.one, ring.zero, u, ring.one))
     return tuple(gens)

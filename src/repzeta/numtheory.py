@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers: prime sieve, prime-power tests."""
+"""Small number-theoretic helpers: the odd-prime sieve and the prime-power test."""
 
 from __future__ import annotations
 
@@ -17,27 +17,12 @@ def odd_primes_up_to(n: int) -> np.ndarray:
     return 2 * np.flatnonzero(sieve) + 1
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, e) with p prime and p**e == n, or None if n is not a prime power."""
     if n < 2:
         return None
     p = n
-    for f in range(2, int(n**0.5) + 1):
+    for f in range(2, math.isqrt(n) + 1):
         if n % f == 0:
             p = f
             break
@@ -49,11 +34,3 @@ def prime_power(n: int) -> tuple[int, int] | None:
     if m != 1:
         return None
     return (p, e)
-
-
-def is_odd_prime_power(n: int) -> bool:
-    return n % 2 == 1 and prime_power(n) is not None
-
-
-def odd_prime_powers_up_to(n: int) -> list[int]:
-    return [q for q in range(3, n + 1, 2) if prime_power(q) is not None]

@@ -15,14 +15,20 @@ from itertools import islice
 import numpy as np
 
 from .census import DegreeCensus
-from .numtheory import is_odd_prime_power
+from .numtheory import prime_power
 
 
 def _check_q(q: int) -> None:
     if q % 2 == 0:
         raise ValueError(f"q = {q} is even; the closed form needs an odd residue field")
-    if q < 3 or not is_odd_prime_power(q):
+    if prime_power(q) is None:  # None for every q < 2
         raise ValueError(f"q = {q} is not an odd prime power >= 3")
+
+
+def _check_level(q: int, k: int) -> None:
+    _check_q(q)
+    if k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
 
 
 def _families(q):
@@ -87,9 +93,7 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
     scaled by q^(j-2).  Total class count is (q+4) + sum_{j=2..k} q^(j-1)(q+3)
     and the degree-square sum is the group order q^(3k-2) (q^2-1).
     """
-    _check_q(q)
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
+    _check_level(q, k)
     families = _families(q)
     terms = list(islice(families, 6))  # levels 0 and 1
     seeds = tuple(families)  # level 2
@@ -103,17 +107,13 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
 
 def sl2_class_count(q: int, k: int) -> int:
     """Predicted number of conjugacy classes of SL2 at level k."""
-    _check_q(q)
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
+    _check_level(q, k)
     return (q + 4) + sum(q ** (j - 1) * (q + 3) for j in range(2, k + 1))
 
 
 def sl2_group_order(q: int, k: int) -> int:
     """|SL2| of the level-k quotient: q^(3k-2) (q^2 - 1)."""
-    _check_q(q)
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
+    _check_level(q, k)
     return q ** (3 * k - 2) * (q * q - 1)
 
 

@@ -191,7 +191,6 @@ def wreath_log_order(ells, j: int) -> float:
     return log_order
 
 
-EXACT_ZETA_LIMIT = MAX_PARTITION_SIZE
 NOT_VERIFIABLE = "not verifiable at desk scale"
 
 
@@ -230,7 +229,7 @@ def wreath_tower_conditions(ells, r: int) -> WreathConditionsReport:
     lhs = log_prev / math.log(ells[r])
     growth_holds = lhs < 1.0 / r
     zeta_bound = 1.0 + 1.0 / big_l
-    if ells[r] <= EXACT_ZETA_LIMIT:
+    if ells[r] <= MAX_PARTITION_SIZE:
         value = alt_zeta(ells[r], 1.0 / r)
         status = "holds" if value < zeta_bound else "fails"
     else:

@@ -29,6 +29,8 @@ from .errors import BudgetExceededError
 from .rootsystems import RootSystem
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
+ABSCISSA_SAMPLE_POINTS = 32  # geometric sample points over the top decade of the census
+ORDERED_EXP_DEPTH = 60  # largest index b_i in the truncated ordered exponential sums
 
 
 def _last_within(const: int, linear: list[tuple[int, int]], limit: int) -> int:
@@ -131,7 +133,7 @@ class AbscissaEstimate:
     sample_points: tuple[tuple[int, int], ...]
 
 
-def abscissa_estimate(census: DegreeCensus, *, points: int = 32) -> AbscissaEstimate:
+def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
     """Estimate the growth exponent of R(n) from the top decade of the census.
 
     Fits log R(n) against log n by least squares at geometrically spaced n in
@@ -144,8 +146,8 @@ def abscissa_estimate(census: DegreeCensus, *, points: int = 32) -> AbscissaEsti
     lo = n_max / 10.0
     samples: list[tuple[int, int]] = []
     seen: set[int] = set()
-    for i in range(points):
-        n = round(lo * 10.0 ** (i / (points - 1)))
+    for i in range(ABSCISSA_SAMPLE_POINTS):
+        n = round(lo * 10.0 ** (i / (ABSCISSA_SAMPLE_POINTS - 1)))
         n = min(max(n, 1), n_max)
         if n in seen:
             continue
@@ -205,7 +207,7 @@ def _truncated_ordered_exp_sum(coeffs: tuple[float, ...], depth: int) -> float:
     return nxt[1]
 
 
-def ordered_exp_series_check(coefficients, depth: int = 60) -> OrderedExpSeriesReport:
+def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:
     """Convergence test for sum_{1<=b_1<...<b_k} exp(a_1 b_1 + ... + a_k b_k).
 
     The series converges exactly when every suffix sum a_i + ... + a_k is
@@ -213,12 +215,13 @@ def ordered_exp_series_check(coefficients, depth: int = 60) -> OrderedExpSeriesR
 
         prod_{i=1..k} exp(S_i) / (1 - exp(S_i)),   S_i = a_i + ... + a_k.
 
-    Truncated sums (all b_i <= depth) are returned alongside so the closed
-    form can be checked numerically.
+    Truncated sums (all b_i <= ORDERED_EXP_DEPTH) are returned alongside so
+    the closed form can be checked numerically.
     """
     coeffs = tuple(float(a) for a in coefficients)
     if not coeffs:
         raise ValueError("need at least one coefficient")
+    depth = ORDERED_EXP_DEPTH
     if depth < len(coeffs):
         raise ValueError(f"depth {depth} too small for {len(coeffs)} nested indices")
     suffix: list[float] = []

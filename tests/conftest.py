@@ -18,3 +18,19 @@ def _odd_primes_by_sieve(n: int) -> list[int]:
 def odd_primes_by_sieve():
     """Odd primes up to n from a plain Eratosthenes sieve, kept apart from the library."""
     return _odd_primes_by_sieve
+
+
+def _odd_prime_powers(n: int) -> list[int]:
+    powers = []
+    for p in _odd_primes_by_sieve(n):
+        q = p
+        while q <= n:
+            powers.append(q)
+            q *= p
+    return sorted(powers)
+
+
+@pytest.fixture
+def odd_prime_powers():
+    """Odd prime powers up to n, ascending, built on the sieve above."""
+    return _odd_prime_powers

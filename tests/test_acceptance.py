@@ -17,7 +17,6 @@ from repzeta.finitequotients import (
     class_growth_exponents,
     conjugacy_classes,
 )
-from repzeta.numtheory import odd_prime_powers_up_to
 from repzeta.rootsystems import build_root_system, log_dim_gap, weyl_dim, witten_abscissa
 from repzeta.symalt import (
     alt_degree_census,
@@ -118,9 +117,11 @@ def test_criterion_5_global_audit_floor():
     assert len(report.min_cases) == 1 and "E8" in report.min_cases[0]
 
 
-def test_criterion_6_sandwich_bounds():
+def test_criterion_6_sandwich_bounds(odd_prime_powers):
+    qs = odd_prime_powers(97)
+    assert len(qs) == 29
     failures = []
-    for q in odd_prime_powers_up_to(97):
+    for q in qs:
         for s in (2.0, 2.25, 2.5, 2.75, 3.0):
             result = sandwich_check(q, s)
             if not result.ok:

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: outputs, manifests, determinism, exit codes."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -21,7 +23,7 @@ def test_witten_csv_and_manifest(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "A2" in text and "abscissa estimate" in text
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["degree", "multiplicity", "cumulative"]
     assert rows[1] == ["1", "1", "1"]
     manifest = json.loads((tmp_path / "a2.csv.manifest.json").read_text())
@@ -67,7 +69,7 @@ def test_local_subcommand(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "5.17361111111" in text
     assert "25 classes" in text
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["degree", "multiplicity", "cumulative"]
     assert rows[-1][0] == "12"
 
@@ -106,6 +108,29 @@ def test_census_csv_golden_bytes(tmp_path, p, k, ring, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     manifest = json.loads((tmp_path / "classes.csv.manifest.json").read_text())
     assert manifest["output_sha256"] == digest
+
+
+# SHA-256 of `bounds-audit --x-max 50 --md-max 50 --out audit.json`, recorded
+# before the manifest writer switched to chunked hashing.
+GOLDEN_AUDIT_SHA256 = "1b3bcde844d43868b0e6acb429e0a2b6323a4b92f18c7df42d413cb76c3338e4"
+
+
+def test_bounds_audit_golden_bytes(tmp_path):
+    out = tmp_path / "audit.json"
+    assert main(["bounds-audit", "--x-max", "50", "--md-max", "50", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_AUDIT_SHA256
+    manifest = json.loads((tmp_path / "audit.json.manifest.json").read_text())
+    assert manifest["output_sha256"] == GOLDEN_AUDIT_SHA256
+
+
+def test_manifest_closes_the_output_file(tmp_path):
+    out = tmp_path / "a1.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["witten", "--type", "A", "--rank", "1", "--max-dim", "50",
+                     "--out", str(out)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_bounds_audit_subcommand(tmp_path, capsys):

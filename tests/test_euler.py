@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+from repzeta import sl2local
 from repzeta.euler import (
     EulerProductConfig,
     divergence_probe,
     global_partial_product,
     sandwich_check,
 )
-from repzeta.numtheory import odd_prime_powers_up_to
+from repzeta.numtheory import prime_power
 from repzeta.rootsystems import build_root_system
 from repzeta.sl2local import sl2_local_zeta
 from repzeta.witten import dimension_census
@@ -28,8 +29,10 @@ def test_sandwich_at_small_prime():
     assert result.value == pytest.approx(745.0 / 144.0)
 
 
-def test_sandwich_grid():
-    for q in odd_prime_powers_up_to(30):
+def test_sandwich_grid(odd_prime_powers):
+    qs = odd_prime_powers(30)
+    assert qs == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+    for q in qs:
         for s in (2.0, 2.5, 3.0):
             assert sandwich_check(q, s).ok
 
@@ -37,8 +40,21 @@ def test_sandwich_grid():
 def test_sandwich_domain():
     with pytest.raises(ValueError):
         sandwich_check(3, 1.5)
-    with pytest.raises(ValueError):
-        sandwich_check(4, 2.5)
+    for q in (1, 2, 4, 15):
+        with pytest.raises(ValueError):
+            sandwich_check(q, 2.5)
+
+
+def test_sandwich_tests_q_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return prime_power(n)
+
+    monkeypatch.setattr(sl2local, "prime_power", counted)
+    assert sandwich_check(9, 2.5).ok
+    assert calls == [9]
 
 
 def test_global_product_monotone_in_prime_bound():

@@ -145,8 +145,9 @@ def test_polynomial_ring_arithmetic_and_unit_inverses():
 def test_ring_validation():
     with pytest.raises(ValueError):
         QuotientRing(2, 1, "char0")  # even residue characteristic
-    with pytest.raises(ValueError):
-        QuotientRing(6, 1, "char0")  # not prime
+    for p in (6, 9, 1, -3):  # not prime; 9 is a prime power
+        with pytest.raises(ValueError):
+            QuotientRing(p, 1, "char0")
     with pytest.raises(ValueError):
         QuotientRing(3, 0, "char0")
     with pytest.raises(ValueError):

@@ -126,9 +126,10 @@ def test_level_contributions_shrink_geometrically():
 
 
 def test_even_and_composite_q_rejected():
-    for q in (4, 2, 15, 1):
-        with pytest.raises(ValueError):
-            sl2_degree_census(q, 1)
+    for f in (sl2_degree_census, sl2_class_count, sl2_group_order):
+        for q, k in ((4, 1), (2, 1), (15, 1), (1, 1), (-3, 1), (3, 0)):
+            with pytest.raises(ValueError):
+                f(q, k)
 
 
 def test_s_at_or_below_one_rejected():

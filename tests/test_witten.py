@@ -232,6 +232,11 @@ def test_ordered_exp_series_suffix_order_and_divergence():
     assert not report.converges
 
 
+def test_ordered_exp_series_needs_depth_for_every_index():
+    with pytest.raises(ValueError, match="too small for 61 nested indices"):
+        ordered_exp_series_check((-1.0,) * 61)
+
+
 def test_ordered_exp_series_two_negative_terms():
     report = ordered_exp_series_check((-1.0, -0.5))
     assert report.converges
