@@ -3,10 +3,12 @@
 Two mechanisms feed the audit.  A conjugacy-growth exponent gamma for a
 group of dimension delta forces abscissa >= 2*gamma/(delta - gamma); and any
 anisotropic inner form yields abscissa >= rank/#positive-roots = 2/h of the
-absolute root system (the "torus" bound).  For the isotropic families the
-audited quantity is max(case formula, torus bound), all in exact rationals,
-and the global minimum over every case plus the exceptional types must be
-1/15, attained exactly where the Coxeter number reaches 30.
+absolute root system (the "torus" bound).  Every isotropic family a-f is one
+row (gamma, delta, fallback types) fed through 2*gamma/(delta - gamma).  The
+audited quantity is max(case formula, least torus bound over the row's
+types), all in exact rationals, and the global minimum over every case plus
+the exceptional types must be 1/15, attained exactly where the Coxeter
+number reaches 30.
 """
 
 from __future__ import annotations
@@ -57,45 +59,55 @@ class IsotropicCase:
     x: int | None = None
 
 
-def isotropic_case_bound(case: IsotropicCase) -> Fraction:
-    """Exact rational abscissa lower bound for the given isotropic family.
+# Each isotropic family b-f at index x: its class-growth exponent gamma, its
+# dimension delta, and the absolute root systems of its torus fallback.
+_FAMILIES = {
+    "b": lambda x: (Fraction(x * x - 2 * x), (2 * x + 2) ** 2 - 1, [("A", 2 * x + 1)]),
+    # even ambient dimension gives D, odd gives B; audit both parities
+    "c": lambda x: (
+        Fraction(x * x - 3 * x, 2), (x + 2) * (2 * x + 3), [("D", x + 2), ("B", x + 2)]
+    ),
+    "d": lambda x: (Fraction(x * x - x, 2), x * (2 * x + 1), [("C", x)]),
+    # delta is dim D_{2x+1}, yet the fallback is C_{2x+1}; its 2/h is the
+    # smaller of the two, so the audit stays conservative
+    "e": lambda x: (Fraction(2 * x * x + x), (2 * x + 1) * (4 * x + 1), [("C", 2 * x + 1)]),
+    "f": lambda x: (Fraction(2 * x * x - x), (2 * x + 3) * (4 * x + 5), [("D", 2 * x + 3)]),
+}
 
-    Case (a) runs the class-growth mechanism with the SL_m(D) exponent and
-    delta = m^2 d^2 - 1.  Cases (b)-(f) are the boundary-index rational
-    functions of x for the unitary/orthogonal/symplectic families.
-    """
+
+def _class_growth(case: IsotropicCase) -> tuple[Fraction, int, list[tuple[str, int]]]:
+    """(gamma, delta, fallback types) of one isotropic family."""
     lab = case.label
     if lab == "a":
         if case.m is None or case.d is None:
             raise ValueError("case 'a' needs parameters m and d")
-        m, d = case.m, case.d
-        gamma = slm_class_growth_bound(m, d)
-        delta = m * m * d * d - 1
-        return abscissa_from_class_growth(gamma, Fraction(delta))
+        md = case.m * case.d
+        return slm_class_growth_bound(case.m, case.d), md * md - 1, [("A", md - 1)]
     if case.x is None:
         raise ValueError(f"case {lab!r} needs parameter x")
-    x = case.x
-    if x < 1:
-        raise ValueError(f"index x must be >= 1, got {x}")
-    if lab == "b":
-        return Fraction(2 * x * x - 4 * x, (2 * x + 2) ** 2 - 1 - (x * x - 2 * x))
-    if lab == "c":
-        return Fraction(x * x - 3 * x) / (
-            Fraction((2 * x + 4) * (2 * x + 3), 2) - Fraction(x * x - 3 * x, 2)
-        )
-    if lab == "d":
-        return Fraction(x * x - x) / (
-            Fraction(2 * x * (2 * x + 1), 2) - Fraction(x * x - x, 2)
-        )
-    if lab == "e":
-        return Fraction(4 * x * x + 2 * x) / (
-            Fraction((4 * x + 2) * (4 * x + 1), 2) - Fraction(2 * x * x + x)
-        )
-    if lab == "f":
-        return Fraction(4 * x * x - 2 * x) / (
-            Fraction((4 * x + 6) * (4 * x + 5), 2) - Fraction(2 * x * x - x)
-        )
-    raise ValueError(f"unknown isotropic case label {lab!r}")
+    if case.x < 1:
+        raise ValueError(f"index x must be >= 1, got {case.x}")
+    if lab not in _FAMILIES:
+        raise ValueError(f"unknown isotropic case label {lab!r}")
+    return _FAMILIES[lab](case.x)
+
+
+def _case_formula(gamma: Fraction, delta: int) -> Fraction:
+    # 2*gamma/(delta - gamma) as one exact division; unlike
+    # abscissa_from_class_growth it lets a negative gamma through
+    return Fraction(2 * gamma.numerator, delta * gamma.denominator - gamma.numerator)
+
+
+def isotropic_case_bound(case: IsotropicCase) -> Fraction:
+    """Exact rational abscissa lower bound 2*gamma/(delta - gamma) for the
+    given isotropic family.
+
+    Case (a) takes the SL_m(D) exponent with delta = m^2 d^2 - 1; cases
+    (b)-(f) take the unitary/orthogonal/symplectic rows of _FAMILIES.  At
+    small x gamma is negative and so is the bound.
+    """
+    gamma, delta, _ = _class_growth(case)
+    return _case_formula(gamma, delta)
 
 
 def unified_isotropic_bound(x: int) -> Fraction:
@@ -104,22 +116,6 @@ def unified_isotropic_bound(x: int) -> Fraction:
     if x < 1:
         raise ValueError(f"index x must be >= 1, got {x}")
     return Fraction(2 * x * x - 6 * x, 3 * x * x + 17 * x + 12)
-
-
-def _fallback_types(label: str, x: int) -> list[tuple[str, int]]:
-    """Absolute root systems at the boundary index, for the torus fallback."""
-    if label == "b":
-        return [("A", 2 * x + 1)]
-    if label == "c":
-        # even ambient dimension gives D, odd gives B; audit both parities
-        return [("D", x + 2), ("B", x + 2)]
-    if label == "d":
-        return [("C", x)]
-    if label == "e":
-        return [("C", 2 * x + 1)]
-    if label == "f":
-        return [("D", 2 * x + 3)]
-    raise ValueError(label)
 
 
 def _coxeter(series: str, rank: int) -> int:
@@ -201,44 +197,30 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
     if x_max < 5 or md_max < 4:
         raise ValueError("audit needs x_max >= 5 and md_max >= 4")
     rows: list[AuditRow] = []
-
-    for m in range(2, md_max + 1):
-        for d in range(1, md_max // m + 1):
-            formula = isotropic_case_bound(IsotropicCase("a", m=m, d=d))
-            fallback = Fraction(2, m * d)  # A_{md-1} torus bound: 2/h = 2/md
-            rows.append(
-                AuditRow(
-                    case="a",
-                    parameters={"m": m, "d": d},
-                    formula=formula,
-                    fallback_label=f"A{m * d - 1}",
-                    fallback=fallback,
-                    value=max(formula, fallback),
-                )
+    cases = [IsotropicCase("a", m=m, d=d)
+             for m in range(2, md_max + 1) for d in range(1, md_max // m + 1)]
+    cases += [IsotropicCase(label, x=x) for label in _FAMILIES for x in range(1, x_max + 1)]
+    for case in cases:
+        gamma, delta, types = _class_growth(case)
+        formula = _case_formula(gamma, delta)
+        # case a records its zero formula (m = 2, d = 1); b-f drop a non-positive one
+        if formula <= 0 and case.label != "a":
+            formula = None
+        fb_label, fallback = min(
+            ((f"{s}{r}", Fraction(2, _coxeter(s, r))) for s, r in types),
+            key=lambda t: t[1],
+        )
+        params = {"m": case.m, "d": case.d} if case.label == "a" else {"x": case.x}
+        rows.append(
+            AuditRow(
+                case=case.label,
+                parameters=params,
+                formula=formula,
+                fallback_label=fb_label,
+                fallback=fallback,
+                value=max(formula or 0, fallback),
             )
-
-    for label in ("b", "c", "d", "e", "f"):
-        for x in range(1, x_max + 1):
-            formula = isotropic_case_bound(IsotropicCase(label, x=x))
-            if formula <= 0:
-                formula_entry = None
-            else:
-                formula_entry = formula
-            fb_label, fallback = min(
-                ((f"{s}{r}", Fraction(2, _coxeter(s, r))) for s, r in _fallback_types(label, x)),
-                key=lambda t: t[1],
-            )
-            value = max(formula_entry or Fraction(0), fallback)
-            rows.append(
-                AuditRow(
-                    case=label,
-                    parameters={"x": x},
-                    formula=formula_entry,
-                    fallback_label=fb_label,
-                    fallback=fallback,
-                    value=value,
-                )
-            )
+        )
 
     for series, rank in _EXCEPTIONAL:
         bound = Fraction(2, coxeter_number(series, rank))

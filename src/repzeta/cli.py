@@ -78,6 +78,10 @@ def _cmd_witten(args) -> int:
 
 
 def _cmd_local(args) -> int:
+    if args.out and args.levels is None:
+        raise ValueError("--out for the local subcommand needs --levels")
+    if args.s is None and args.levels is None:
+        raise ValueError("nothing to do: pass --s and/or --levels")
     if args.s is not None:
         print(f"local factor q={args.q} at s={_fmt(args.s)}: {_fmt(sl2_local_zeta(args.q, args.s))}")
     if args.levels is not None:
@@ -86,10 +90,6 @@ def _cmd_local(args) -> int:
               f"max degree {census.max_degree()}")
         if args.out:
             _write_census(census, args.out, args.format, "local", _params(args))
-    elif args.out:
-        raise ValueError("--out for the local subcommand needs --levels")
-    if args.s is None and args.levels is None:
-        raise ValueError("nothing to do: pass --s and/or --levels")
     return 0
 
 

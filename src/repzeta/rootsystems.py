@@ -224,33 +224,26 @@ def witten_abscissa(rs: RootSystem) -> Fraction:
     return Fraction(rs.rank, rs.kappa)
 
 
-def _row_reduce_basis(rows: list[tuple[int, ...]]) -> list[list[Fraction]]:
-    """Row-echelon basis (exact rationals) of the span of the given rows."""
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        vec = [Fraction(x) for x in row]
-        for b, p in zip(basis, pivots):
-            if vec[p]:
-                coef = vec[p] / b[p]
-                vec = [v - coef * bv for v, bv in zip(vec, b)]
-        try:
-            p = next(i for i, v in enumerate(vec) if v)
-        except StopIteration:
-            continue
-        basis.append(vec)
-        pivots.append(p)
-    return basis
-
-
-def _in_span(basis: list[list[Fraction]], row: tuple[int, ...]) -> bool:
+def _reduce(row, basis: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
+    """What is left of row (exact rationals) after elimination against the
+    echelon basis, stored as (pivot, row) pairs; zero iff row is in its span."""
     vec = [Fraction(x) for x in row]
-    for b in basis:
-        p = next(i for i, v in enumerate(b) if v)
+    for p, b in basis:
         if vec[p]:
             coef = vec[p] / b[p]
             vec = [v - coef * bv for v, bv in zip(vec, b)]
-    return not any(vec)
+    return vec
+
+
+def _echelon_basis(rows) -> list[tuple[int, list[Fraction]]]:
+    """Echelon basis of the span of the given rows, as (pivot, row) pairs."""
+    basis: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        vec = _reduce(row, basis)
+        p = next((i for i, v in enumerate(vec) if v), None)
+        if p is not None:
+            basis.append((p, vec))
+    return basis
 
 
 def threshold_subsystem_chain(rs: RootSystem, weight) -> list[tuple[int, int]]:
@@ -274,8 +267,8 @@ def threshold_subsystem_chain(rs: RootSystem, weight) -> list[tuple[int, int]]:
         elif not members:
             size = 0
         else:
-            basis = _row_reduce_basis(members)
-            size = sum(1 for row in rows if _in_span(basis, row))
+            basis = _echelon_basis(members)
+            size = sum(1 for row in rows if not any(_reduce(row, basis)))
         chain.append((j, size))
         if size == kappa:
             return chain

@@ -178,12 +178,7 @@ class OrderedExpSeriesReport:
     suffix_sums: tuple[float, ...]
     converges: bool
     closed_form: float | None
-    depth: int
-    truncated_sums: tuple[tuple[int, float], ...]
-
-    @property
-    def truncated(self) -> float:
-        return self.truncated_sums[-1][1]
+    truncated: float
 
     @property
     def agreement_gap(self) -> float | None:
@@ -215,15 +210,16 @@ def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:
 
         prod_{i=1..k} exp(S_i) / (1 - exp(S_i)),   S_i = a_i + ... + a_k.
 
-    Truncated sums (all b_i <= ORDERED_EXP_DEPTH) are returned alongside so
-    the closed form can be checked numerically.
+    The truncated sum (every b_i <= ORDERED_EXP_DEPTH) is returned alongside
+    so the closed form can be checked numerically.
     """
     coeffs = tuple(float(a) for a in coefficients)
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    depth = ORDERED_EXP_DEPTH
-    if depth < len(coeffs):
-        raise ValueError(f"depth {depth} too small for {len(coeffs)} nested indices")
+    if ORDERED_EXP_DEPTH < len(coeffs):
+        raise ValueError(
+            f"depth {ORDERED_EXP_DEPTH} too small for {len(coeffs)} nested indices"
+        )
     suffix: list[float] = []
     acc = 0.0
     for a in reversed(coeffs):
@@ -236,13 +232,10 @@ def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:
         closed = 1.0
         for s in suffix:
             closed *= math.exp(s) / (1.0 - math.exp(s))
-    checkpoints = sorted({max(len(coeffs), depth // 4), max(len(coeffs), depth // 2), depth})
-    truncated = tuple((d, _truncated_ordered_exp_sum(coeffs, d)) for d in checkpoints)
     return OrderedExpSeriesReport(
         coefficients=coeffs,
         suffix_sums=tuple(suffix),
         converges=converges,
         closed_form=closed,
-        depth=depth,
-        truncated_sums=truncated,
+        truncated=_truncated_ordered_exp_sum(coeffs, ORDERED_EXP_DEPTH),
     )

@@ -7,6 +7,7 @@ import pytest
 from repzeta.bounds import (
     AuditError,
     IsotropicCase,
+    _class_growth,
     abscissa_from_class_growth,
     isotropic_abscissa_audit,
     isotropic_case_bound,
@@ -14,7 +15,7 @@ from repzeta.bounds import (
     torus_abscissa_bound,
     unified_isotropic_bound,
 )
-from repzeta.rootsystems import build_root_system
+from repzeta.rootsystems import build_root_system, coxeter_number
 from repzeta.sl2local import sl1_division_abscissa
 
 
@@ -55,6 +56,40 @@ def test_displayed_cases_at_x_five():
     for label, value in expected.items():
         case = IsotropicCase(label=label, m=None, d=None, x=5)
         assert isotropic_case_bound(case) == value
+
+
+def _dimension(series, rank):
+    # r(h + 1), with C1 = A1 of Coxeter number 2
+    h = 2 if (series, rank) == ("C", 1) else coxeter_number(series, rank)
+    return rank * (h + 1)
+
+
+@pytest.mark.parametrize("label", ["a", "b", "c", "d", "f"])
+def test_family_dimension_is_that_of_its_first_fallback_type(label):
+    if label == "a":
+        cases = [IsotropicCase("a", m=m, d=d) for m in range(2, 30) for d in range(1, 10)]
+    else:
+        cases = [IsotropicCase(label, x=x) for x in range(1, 60)]
+    for case in cases:
+        gamma, delta, types = _class_growth(case)
+        assert delta == _dimension(*types[0])
+        assert isotropic_case_bound(case) == 2 * gamma / (delta - gamma)
+
+
+def test_family_e_dimension_is_of_type_d_while_its_fallback_is_type_c():
+    # the smaller 2/h of C keeps the audit conservative
+    for x in range(1, 60):
+        _, delta, types = _class_growth(IsotropicCase("e", x=x))
+        assert types == [("C", 2 * x + 1)]
+        assert delta == _dimension("D", 2 * x + 1) != _dimension("C", 2 * x + 1)
+        assert coxeter_number("C", 2 * x + 1) > coxeter_number("D", 2 * x + 1)
+
+
+def test_unknown_family_and_missing_parameters_are_refused():
+    for case in (IsotropicCase("g", x=3), IsotropicCase("b"), IsotropicCase("c", x=0),
+                 IsotropicCase("a", m=3)):
+        with pytest.raises(ValueError):
+            isotropic_case_bound(case)
 
 
 def test_unified_formula_equals_case_c():

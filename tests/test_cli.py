@@ -74,6 +74,21 @@ def test_local_subcommand(tmp_path, capsys):
     assert rows[-1][0] == "12"
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--s", "2", "--out", "x.csv"], "--out for the local subcommand needs --levels"),
+    (["--out", "x.csv"], "--out for the local subcommand needs --levels"),
+    ([], "nothing to do"),
+])
+def test_local_rejects_its_arguments_before_any_work(tmp_path, monkeypatch, capsys, extra,
+                                                     message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["local", "--q", "3", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_subcommand_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "c1.csv"
     out2 = tmp_path / "c2.csv"
@@ -174,6 +189,102 @@ def test_alt_index_check_at_a_large_degree_cap(capsys):
     assert "index-2 count inequalities: PASS" in capsys.readouterr().out
 
 
+# Exact stdout of the verbose audit, recorded before the isotropic families
+# moved into one class-growth table.
+AUDIT_VERBOSE_STDOUT = """\
+global min >= 1/15: PASS (min = 1/15 at exceptional:{'type': 'E8'})
+case           parameters              formula         fallback        value
+a              m=2,d=1                       0             A1:1            1
+a              m=2,d=2                    1/22           A3:1/2          1/2
+a              m=2,d=3                   8/101           A5:1/3          1/3
+a              m=2,d=4                    1/10           A7:1/4          1/4
+a              m=2,d=5                  32/281           A9:1/5          1/5
+a              m=2,d=6                  25/202          A11:1/6          1/6
+a              m=3,d=1                       0           A2:2/3          2/3
+a              m=3,d=2                    1/17           A5:1/3          1/3
+a              m=3,d=3                    2/23           A8:2/9          2/9
+a              m=3,d=4                    7/68          A11:1/6          1/6
+a              m=4,d=1                    1/22           A3:1/2          1/2
+a              m=4,d=2                    1/10           A7:1/4          1/4
+a              m=4,d=3                  25/202          A11:1/6          1/6
+a              m=5,d=1                    2/35           A4:2/5          2/5
+a              m=5,d=2                    5/47           A9:1/5          1/5
+a              m=6,d=1                   8/101           A5:1/3          1/3
+a              m=6,d=2                  25/202          A11:1/6          1/6
+a              m=7,d=1                    2/23           A6:2/7          2/7
+a              m=8,d=1                    1/10           A7:1/4          1/4
+a              m=9,d=1                    2/19           A8:2/9          2/9
+a              m=10,d=1                 32/281           A9:1/5          1/5
+a              m=11,d=1                   2/17         A10:2/11         2/11
+a              m=12,d=1                 25/202          A11:1/6          1/6
+b              x=1                           -           A3:1/2          1/2
+b              x=2                           -           A5:1/3          1/3
+b              x=3                        1/10           A7:1/4          1/4
+b              x=4                       16/91           A9:1/5          1/5
+b              x=5                       15/64          A11:1/6        15/64
+b              x=6                       16/57          A13:1/7        16/57
+b              x=7                        7/22          A15:1/8         7/22
+b              x=8                      96/275          A17:1/9       96/275
+b              x=9                         3/8         A19:1/10          3/8
+b              x=10                    160/403         A21:1/11      160/403
+b              x=11                     99/238         A23:1/12       99/238
+b              x=12                      16/37         A25:1/13        16/37
+c              x=1                           -           B3:1/3          1/3
+c              x=2                           -           B4:1/4          1/4
+c              x=3                           -           B5:1/5          1/5
+c              x=4                        1/16           B6:1/6          1/6
+c              x=5                        5/43           B7:1/7          1/7
+c              x=6                        6/37           B8:1/8         6/37
+c              x=7                      28/139           B9:1/9       28/139
+c              x=8                        4/17         B10:1/10         4/17
+c              x=9                        9/34         B11:1/11         9/34
+c              x=10                     70/241         B12:1/12       70/241
+c              x=11                     88/281         B13:1/13       88/281
+c              x=12                        1/3         B14:1/14          1/3
+d              x=1                           -             C1:1            1
+d              x=2                         2/9           C2:1/2          1/2
+d              x=3                         1/3           C3:1/3          1/3
+d              x=4                         2/5           C4:1/4          2/5
+d              x=5                         4/9           C5:1/5          4/9
+d              x=6                       10/21           C6:1/6        10/21
+d              x=7                         1/2           C7:1/7          1/2
+d              x=8                       14/27           C8:1/8        14/27
+d              x=9                        8/15           C9:1/9         8/15
+d              x=10                       6/11         C10:1/10         6/11
+d              x=11                        5/9         C11:1/11          5/9
+d              x=12                      22/39         C12:1/12        22/39
+e              x=1                         1/2           C3:1/3          1/2
+e              x=2                         4/7           C5:1/5          4/7
+e              x=3                         3/5           C7:1/7          3/5
+e              x=4                        8/13           C9:1/9         8/13
+e              x=5                         5/8         C11:1/11          5/8
+e              x=6                       12/19         C13:1/13        12/19
+e              x=7                        7/11         C15:1/15         7/11
+e              x=8                       16/25         C17:1/17        16/25
+e              x=9                        9/14         C19:1/19         9/14
+e              x=10                      20/31         C21:1/21        20/31
+e              x=11                      11/17         C23:1/23        11/17
+e              x=12                      24/37         C25:1/25        24/37
+f              x=1                        1/22           D5:1/4          1/4
+f              x=2                       12/85           D7:1/6          1/6
+f              x=3                        5/23           D9:1/8         5/23
+f              x=4                        8/29         D11:1/10         8/29
+f              x=5                        9/28         D13:1/12         9/28
+f              x=6                      44/123         D15:1/14       44/123
+f              x=7                      91/235         D17:1/16       91/235
+f              x=8                     240/583         D19:1/18      240/583
+f              x=9                      51/118         D21:1/20       51/118
+f              x=10                     76/169         D23:1/22       76/169
+f              x=11                      33/71         D25:1/24        33/71
+f              x=12                    184/385         D27:1/26      184/385
+exceptional    type=G2                       -           G2:1/3          1/3
+exceptional    type=F4                       -           F4:1/6          1/6
+exceptional    type=E6                       -           E6:1/6          1/6
+exceptional    type=E7                       -           E7:1/9          1/9
+exceptional    type=E8                       -          E8:1/15         1/15
+global minimum 1/15 (>= threshold 1/15) at exceptional:{'type': 'E8'}
+"""
+
 # Exact stdout, recorded before the Dirichlet sums moved onto DegreeCensus.
 GOLDEN_STDOUT = [
     ("alt --k 24 --s 0.5 --check-index",
@@ -192,6 +303,7 @@ GOLDEN_STDOUT = [
     ("local --q 3 --s 2.0 --levels 3",
      "local factor q=3 at s=2: 5.17361111111\n"
      "census q=3 level 3: 79 classes, max degree 36\n"),
+    ("bounds-audit --x-max 12 --md-max 12 --verbose", AUDIT_VERBOSE_STDOUT),
 ]
 
 

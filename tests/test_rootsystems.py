@@ -151,6 +151,31 @@ def test_threshold_chain_structure():
     assert sizes[0] < rs.kappa
 
 
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
+    ("E", 6),
+])
+def test_threshold_chain_sizes_match_an_independent_rank_count(series, rank):
+    sympy = pytest.importorskip("sympy")
+    rs = build_root_system(series, rank)
+    rows = [list(row) for row in rs.coroot_matrix]
+    rng = random.Random(rank)
+    weights = [(0,) * rank, (200,) + (0,) * (rank - 1), (0,) * (rank - 1) + (30,)]
+    weights += [tuple(rng.randrange(0, 60) for _ in range(rank)) for _ in range(2)]
+    for weight in weights:
+        values = coroot_values(rs, weight)
+        chain = threshold_subsystem_chain(rs, weight)
+        assert [j for j, _ in chain] == list(range(1, len(chain) + 1))
+        for j, size in chain:
+            members = [row for row, v in zip(rows, values) if v < math.exp(j)]
+            others = [row for row, v in zip(rows, values) if v >= math.exp(j)]
+            # a coroot lies in the span exactly when adding it keeps the rank
+            span_rank = sympy.Matrix(members).rank() if members else 0
+            joining = sum(1 for row in others if sympy.Matrix(members + [row]).rank() == span_rank)
+            assert size == len(members) + joining
+        assert chain[-1][1] == rs.kappa
+
+
 def test_log_dim_gap_stays_bounded():
     rng = random.Random(7)
     for series in ("A", "C"):
