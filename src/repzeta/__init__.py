@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 
 from .bounds import (
     AuditError,
-    abscissa_from_class_growth,
     isotropic_abscissa_audit,
     isotropic_case_bound,
     slm_class_growth_bound,
-    torus_abscissa_bound,
     unified_isotropic_bound,
 )
 from .census import DegreeCensus
@@ -79,7 +77,6 @@ __all__ = [
     "RootSystem",
     "__version__",
     "abscissa_estimate",
-    "abscissa_from_class_growth",
     "alt_degree_census",
     "alt_zeta",
     "alt_zeta_exact",
@@ -111,7 +108,6 @@ __all__ = [
     "sym_alt_count_inequality",
     "sym_degree_census",
     "threshold_subsystem_chain",
-    "torus_abscissa_bound",
     "unified_isotropic_bound",
     "weyl_dim",
     "witten_abscissa",

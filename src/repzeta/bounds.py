@@ -3,12 +3,13 @@
 Two mechanisms feed the audit.  A conjugacy-growth exponent gamma for a
 group of dimension delta forces abscissa >= 2*gamma/(delta - gamma); and any
 anisotropic inner form yields abscissa >= rank/#positive-roots = 2/h of the
-absolute root system (the "torus" bound).  Every isotropic family a-f is one
-row (gamma, delta, fallback types) fed through 2*gamma/(delta - gamma).  The
-audited quantity is max(case formula, least torus bound over the row's
-types), all in exact rationals, and the global minimum over every case plus
-the exceptional types must be 1/15, attained exactly where the Coxeter
-number reaches 30.
+absolute root system (the "torus" bound).  Every audited type is one table
+row (case, parameters, formula, fallback types): an isotropic family a-f
+takes its formula from (gamma, delta) through 2*gamma/(delta - gamma), and
+G2, F4, E6, E7 and E8 are rows with no formula and one fallback type each.
+One row builder sets the fallback to the least 2/h over the row's types and
+the value to max(formula, fallback), all in exact rationals.  The global
+minimum must be 1/15, attained exactly where the Coxeter number reaches 30.
 """
 
 from __future__ import annotations
@@ -16,26 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsystems import RootSystem, coxeter_number, witten_abscissa
+from .rootsystems import coxeter_number
 
 THRESHOLD = Fraction(1, 15)
 
 
 class AuditError(RuntimeError):
     """Raised when some audited case falls below the 1/15 threshold."""
-
-
-def abscissa_from_class_growth(gamma, delta):
-    """Abscissa lower bound 2*gamma/(delta - gamma) from class growth gamma
-    in dimension delta.  Exact when fed Fractions."""
-    if not 0 <= gamma < delta:
-        raise ValueError(f"need 0 <= gamma < delta, got gamma={gamma}, delta={delta}")
-    return (2 * gamma) / (delta - gamma)
-
-
-def torus_abscissa_bound(rs: RootSystem) -> Fraction:
-    """Lower bound rank/kappa = 2/h from the anisotropic-torus mechanism."""
-    return witten_abscissa(rs)
 
 
 def slm_class_growth_bound(m: int, d: int) -> Fraction:
@@ -93,8 +81,7 @@ def _class_growth(case: IsotropicCase) -> tuple[Fraction, int, list[tuple[str, i
 
 
 def _case_formula(gamma: Fraction, delta: int) -> Fraction:
-    # 2*gamma/(delta - gamma) as one exact division; unlike
-    # abscissa_from_class_growth it lets a negative gamma through
+    # 2*gamma/(delta - gamma) as one exact division; a negative gamma passes
     return Fraction(2 * gamma.numerator, delta * gamma.denominator - gamma.numerator)
 
 
@@ -185,6 +172,17 @@ class AuditReport:
 _EXCEPTIONAL = (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8))
 
 
+def _row(case: str, parameters: dict, formula: Fraction | None,
+         types: list[tuple[str, int]]) -> AuditRow:
+    """One audit row: the fallback is the least torus bound 2/h over the
+    row's types, and the value the larger of it and the formula."""
+    fallback_label, fallback = min(
+        ((f"{s}{r}", Fraction(2, _coxeter(s, r))) for s, r in types), key=lambda t: t[1]
+    )
+    return AuditRow(case, parameters, formula, fallback_label, fallback,
+                    max(formula or 0, fallback))
+
+
 def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
     """Exact audit of every isotropic family plus the exceptional types.
 
@@ -206,34 +204,9 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
         # case a records its zero formula (m = 2, d = 1); b-f drop a non-positive one
         if formula <= 0 and case.label != "a":
             formula = None
-        fb_label, fallback = min(
-            ((f"{s}{r}", Fraction(2, _coxeter(s, r))) for s, r in types),
-            key=lambda t: t[1],
-        )
         params = {"m": case.m, "d": case.d} if case.label == "a" else {"x": case.x}
-        rows.append(
-            AuditRow(
-                case=case.label,
-                parameters=params,
-                formula=formula,
-                fallback_label=fb_label,
-                fallback=fallback,
-                value=max(formula or 0, fallback),
-            )
-        )
-
-    for series, rank in _EXCEPTIONAL:
-        bound = Fraction(2, coxeter_number(series, rank))
-        rows.append(
-            AuditRow(
-                case="exceptional",
-                parameters={"type": f"{series}{rank}"},
-                formula=None,
-                fallback_label=f"{series}{rank}",
-                fallback=bound,
-                value=bound,
-            )
-        )
+        rows.append(_row(case.label, params, formula, types))
+    rows += [_row("exceptional", {"type": f"{s}{r}"}, None, [(s, r)]) for s, r in _EXCEPTIONAL]
 
     for row in rows:
         if row.value < THRESHOLD:

@@ -28,7 +28,11 @@ class DegreeCensus:
     cap: int
     degrees: tuple[int, ...]
     multiplicities: tuple[int, ...]
-    _cumulative: tuple[int, ...] = field(repr=False)
+    _cumulative: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # the running totals R(n); frozen, so set past the dataclass __setattr__
+        object.__setattr__(self, "_cumulative", tuple(accumulate(self.multiplicities)))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], cap: int) -> "DegreeCensus":
@@ -43,12 +47,7 @@ class DegreeCensus:
             if m < 1:
                 raise ValueError(f"multiplicity for degree {d} must be >= 1, got {m}")
             mults.append(m)
-        return cls(
-            cap=cap,
-            degrees=tuple(degrees),
-            multiplicities=tuple(mults),
-            _cumulative=tuple(accumulate(mults)),
-        )
+        return cls(cap=cap, degrees=tuple(degrees), multiplicities=tuple(mults))
 
     def __len__(self) -> int:
         return len(self.degrees)

@@ -18,7 +18,6 @@ import sys
 
 from . import __version__
 from .bounds import isotropic_abscissa_audit
-from .census import DegreeCensus
 from .errors import BudgetExceededError
 from .euler import EulerProductConfig, divergence_probe, global_partial_product
 from .finitequotients import QuotientRing, build_sl2_group, conjugacy_classes
@@ -32,33 +31,27 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _write_manifest(out_path: str, subcommand: str, params: dict) -> None:
+def _write_out(args: argparse.Namespace, write) -> None:
+    """Write args.out through write(path), then <out>.manifest.json with the
+    subcommand, its parameters, the package version and the output's SHA-256."""
+    write(args.out)
     digest = hashlib.sha256()
-    with open(out_path, "rb") as fh:
+    with open(args.out, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     manifest = {
-        "subcommand": subcommand,
-        "parameters": {k: v for k, v in sorted(params.items())},
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func" and v is not None},
         "version": __version__,
         "output_sha256": digest.hexdigest(),
     }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(manifest, args.out + ".manifest.json")
+
+
+def _write_json(payload: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_census(census: DegreeCensus, out: str, fmt: str, subcommand: str, params: dict) -> None:
-    if fmt == "csv":
-        census.write_csv(out)
-    else:
-        census.write_json(out)
-    _write_manifest(out, subcommand, params)
-
-
-def _params(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def _cmd_witten(args) -> int:
@@ -73,7 +66,7 @@ def _cmd_witten(args) -> int:
     if args.zeta is not None:
         print(f"zeta partial sum at s={_fmt(args.zeta)}: {_fmt(zeta_partial(census, args.zeta))}")
     if args.out:
-        _write_census(census, args.out, args.format, "witten", _params(args))
+        _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
     return 0
 
 
@@ -89,25 +82,25 @@ def _cmd_local(args) -> int:
         print(f"census q={args.q} level {args.levels}: {census.total_multiplicity()} classes, "
               f"max degree {census.max_degree()}")
         if args.out:
-            _write_census(census, args.out, args.format, "local", _params(args))
+            _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
     return 0
 
 
 def _cmd_census(args) -> int:
-    if args.group != "sl2":
-        raise ValueError(f"unknown group {args.group!r}; only sl2 is implemented")
     ring = QuotientRing(args.p, args.k, args.ring)
     group = build_sl2_group(ring)
     classes = conjugacy_classes(group)
     print(f"SL2 over {ring.label()}: order {group.order}")
     print(f"classes: {classes.count}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep_a", "rep_b", "rep_c", "rep_d", "class_size"])
-            for rep, size in zip(classes.representatives, classes.sizes):
-                writer.writerow(list(rep) + [size])
-        _write_manifest(args.out, "census", _params(args))
+        def write(path):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["rep_a", "rep_b", "rep_c", "rep_d", "class_size"])
+                for rep, size in zip(classes.representatives, classes.sizes):
+                    writer.writerow(list(rep) + [size])
+
+        _write_out(args, write)
     return 0
 
 
@@ -119,10 +112,7 @@ def _cmd_bounds_audit(args) -> int:
     if args.verbose:
         print(report.format_table())
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(args.out, "bounds-audit", _params(args))
+        _write_out(args, lambda path: _write_json(report.to_json_dict(), path))
     return 0
 
 
@@ -138,7 +128,7 @@ def _cmd_alt(args) -> int:
         if not ok:
             return 1
     if args.out:
-        _write_census(census, args.out, args.format, "alt", _params(args))
+        _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
     return 0
 
 
@@ -170,10 +160,7 @@ def _cmd_probe(args) -> int:
     if args.s > 2:
         print("successive differences: " + ", ".join(_fmt(d) for d in report.differences))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(args.out, "probe", _params(args))
+        _write_out(args, lambda path: _write_json(report.to_json_dict(), path))
     return 0
 
 

@@ -21,6 +21,7 @@ components are the conjugacy classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -31,6 +32,8 @@ from .numtheory import prime_power
 
 DEFAULT_GROUP_BUDGET = 200_000
 _MAX_TABLE_SIZE = 2048  # polynomial flavor builds size*size op tables
+# entries are int32 and so are their products: size^2 must stay below 2^31
+_MAX_RING_SIZE = math.isqrt(np.iinfo(np.int32).max)
 
 Matrix = tuple[int, int, int, int]
 _IDENTITY: Matrix = (1, 0, 0, 1)
@@ -50,8 +53,9 @@ class QuotientRing:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         size = p**k
-        if size >= 2**31:
-            raise ValueError(f"ring size p^k = {size} exceeds the 2^31 encoding bound")
+        if size > _MAX_RING_SIZE:
+            raise ValueError(f"ring size p^k = {size} overflows int32 entry products; "
+                             f"the largest size allowed is {_MAX_RING_SIZE}")
         self.p = p
         self.k = k
         self.flavor = flavor
@@ -211,8 +215,6 @@ def _sl2_elements(ring: QuotientRing):
 
 def _sort_by_code(ring: QuotientRing, cols):
     """Sort matrices by code; raise on a duplicate."""
-    if ring.size**2 > np.iinfo(np.int32).max:
-        raise ValueError(f"ring size {ring.size} is too large for int32 entry products")
     codes = _image_codes(ring, _IDENTITY, _IDENTITY, cols)
     by_code = np.argsort(codes)
     codes = codes[by_code]

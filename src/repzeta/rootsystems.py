@@ -174,8 +174,6 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     c = tuple(sum(row) for row in rows)
     if max(c) != h - 1:
         raise AssertionError(f"highest coroot height {max(c)} != h-1 for {series}{rank}")
-    if Fraction(rank, kappa) != Fraction(2, h):
-        raise AssertionError(f"rank/kappa != 2/h for {series}{rank}")
     prod = 1
     for v in c:
         prod *= v

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -111,12 +110,7 @@ def dimension_census(
     del chunks
     degrees, mults = dims.tolist(), counts.tolist()
     del dims, counts
-    return DegreeCensus(
-        cap=max_dim,
-        degrees=tuple(degrees),
-        multiplicities=tuple(mults),
-        _cumulative=tuple(accumulate(mults)),
-    )
+    return DegreeCensus(cap=max_dim, degrees=tuple(degrees), multiplicities=tuple(mults))
 
 
 def zeta_partial(census: DegreeCensus, s: float) -> float:

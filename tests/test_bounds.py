@@ -8,36 +8,19 @@ from repzeta.bounds import (
     AuditError,
     IsotropicCase,
     _class_growth,
-    abscissa_from_class_growth,
     isotropic_abscissa_audit,
     isotropic_case_bound,
     slm_class_growth_bound,
-    torus_abscissa_bound,
     unified_isotropic_bound,
 )
-from repzeta.rootsystems import build_root_system, coxeter_number
+from repzeta.rootsystems import coxeter_number
 from repzeta.sl2local import sl1_division_abscissa
-
-
-def test_class_growth_transform():
-    assert abscissa_from_class_growth(Fraction(4, 3), 35) == Fraction(8, 101)
-    assert abscissa_from_class_growth(0, 3) == 0
-    with pytest.raises(ValueError):
-        abscissa_from_class_growth(Fraction(3), Fraction(2))
-    with pytest.raises(ValueError):
-        abscissa_from_class_growth(Fraction(-1), 3)
 
 
 def test_slm_class_growth_examples():
     assert slm_class_growth_bound(2, 1) == 0
     assert slm_class_growth_bound(3, 2) == 1
     assert slm_class_growth_bound(6, 1) == Fraction(4, 3)
-
-
-def test_torus_bound_is_two_over_coxeter():
-    assert torus_abscissa_bound(build_root_system("A", 1)) == 1
-    assert torus_abscissa_bound(build_root_system("G", 2)) == Fraction(1, 3)
-    assert torus_abscissa_bound(build_root_system("E", 8)) == Fraction(1, 15)
 
 
 def test_case_a_matches_transform():

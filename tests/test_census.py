@@ -28,3 +28,10 @@ def test_zeta_exact_is_the_fraction_sum(counts, s):
     want = sum((Fraction(m, d**s) for d, m in counts.items()), Fraction(0))
     assert DegreeCensus.from_counts(counts, max(counts)).zeta_exact(s) == want
 
+
+
+def test_direct_construction_sets_the_running_totals():
+    census = DegreeCensus(cap=10, degrees=(1, 3, 8), multiplicities=(2, 5, 1))
+    assert [census.cumulative(n) for n in range(10)] == [0, 2, 2, 7, 7, 7, 7, 7, 8, 8]
+    assert census.total_multiplicity() == 8
+    assert census == DegreeCensus.from_counts({1: 2, 3: 5, 8: 1}, 10)

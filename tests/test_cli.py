@@ -32,6 +32,50 @@ def test_witten_csv_and_manifest(tmp_path, capsys):
     assert manifest["parameters"]["rank"] == 2
 
 
+# Exact manifest bytes, recorded before the --out writers were merged; OUT
+# stands for the JSON string of the output path.  The local run leaves --s
+# unset, so its manifest shows that unset parameters are left out.
+GOLDEN_MANIFESTS = [
+    ("witten --type A --rank 2 --max-dim 1000 --zeta 2.0", "a2.csv", """{
+  "output_sha256": "5da9249d3746f9207d3f2db68b0bc12ea32196ac110eacab638dd02ee6bc9ebc",
+  "parameters": {
+    "estimate_abscissa": false,
+    "format": "csv",
+    "max_dim": 1000,
+    "out": OUT,
+    "rank": 2,
+    "subcommand": "witten",
+    "type": "A",
+    "zeta": 2.0
+  },
+  "subcommand": "witten",
+  "version": "0.1.0"
+}
+"""),
+    ("local --q 3 --levels 2 --format json", "q3.json", """{
+  "output_sha256": "33d6d13b976a91bf64b2231e86c8ff9dc960ab4ae4a41af72f9056292b1a2736",
+  "parameters": {
+    "format": "json",
+    "levels": 2,
+    "out": OUT,
+    "q": 3,
+    "subcommand": "local"
+  },
+  "subcommand": "local",
+  "version": "0.1.0"
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,name,golden", GOLDEN_MANIFESTS, ids=[a for a, _, _ in GOLDEN_MANIFESTS])
+def test_manifest_golden_bytes(tmp_path, capsys, argv, name, golden):
+    out = tmp_path / name
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    manifest = (tmp_path / f"{name}.manifest.json").read_text()
+    assert manifest == golden.replace("OUT", json.dumps(str(out)))
+
+
 def test_witten_json_format(tmp_path):
     out = tmp_path / "a1.json"
     assert main(["witten", "--type", "A", "--rank", "1", "--max-dim", "10",
@@ -342,6 +386,22 @@ def test_probe_subcommand(tmp_path, capsys):
     assert "strictly increasing: PASS" in text
     payload = json.loads(out.read_text())
     assert payload["prime_bounds"] == [100, 1000]
+
+
+def test_probe_above_two_has_no_comparator(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    argv = ["probe", "--s", "2.5", "--schedule", "100,1000,10000", "--out", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any("comparator" in line for line in lines)
+    payload = json.loads(out.read_text())
+    assert payload["comparators_log"] is None
+    assert payload["exceeds_comparator"] is True
+    assert len(payload["differences"]) == 2
+    steps = [b - a for a, b in zip(payload["values"], payload["values"][1:])]
+    assert payload["differences"] == pytest.approx(steps, rel=1e-9)
+    shown = ", ".join(format(d, ".12g") for d in payload["differences"])
+    assert lines[-1] == "successive differences: " + shown
 
 
 def test_error_exit_code_and_diagnostic(capsys):

@@ -154,6 +154,17 @@ def test_ring_validation():
         QuotientRing(3, 1, "weird")
 
 
+def test_ring_size_bound_keeps_int32_products_exact():
+    # 46340^2 < 2^31 - 1 < 46341^2; 46337 is the largest prime below the bound
+    ring = QuotientRing(46337, 1, "char0")
+    a = np.array([46336, 2, 23169], dtype=np.int32)
+    assert ring.mul(a, a).tolist() == [1, 4, 23169 * 23169 % 46337]
+    assert ring.inv(a[:1]).tolist() == [46336]
+    for p, k in ((46349, 1), (3, 10)):
+        with pytest.raises(ValueError, match="largest size allowed is 46340"):
+            QuotientRing(p, k, "char0")
+
+
 def test_class_growth_exponents_q3():
     gammas = class_growth_exponents({1: 7, 2: 25, 3: 79}, 3)
     expected = [
