@@ -20,29 +20,64 @@ MAX_PARTITION_SIZE = 40
 
 
 def partitions(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k in reverse lexicographic order: (k) first, (1,..,1) last;
-    each one lowers the last part above 1 of the one before and refills greedily."""
+    """All partitions of k in reverse lexicographic order: (k) first, (1,..,1) last.
+
+    Zoghbi and Stojmenović's ZS1 (Int. J. Comput. Math. 70, 1998).  Every part
+    after the last part above 1 is a 1, so a step lowers that part by one and
+    refills greedily from it with the freed 1s; it never reads the tail of 1s.
+    Constant amortised work per partition, apart from copying it out.
+    """
     if k < 1 or k > MAX_PARTITION_SIZE:
         raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
-    parts = [k]
+    parts = [1] * k
+    parts[0] = k
+    size = 1  # parts in use
+    h = 0  # index of the last part above 1
     out = [(k,)]
     while parts[0] > 1:
-        ones = parts.count(1)
-        del parts[len(parts) - ones:]
-        largest = parts.pop() - 1
-        remaining = ones + largest + 1
-        while remaining:
-            parts.append(min(largest, remaining))
-            remaining -= parts[-1]
-        out.append(tuple(parts))
+        if parts[h] == 2:
+            parts[h] = 1
+            h -= 1
+            size += 1
+        else:
+            r = parts[h] - 1
+            t = size - h  # the 1 taken from parts[h] plus the 1s after it
+            parts[h] = r
+            while t >= r:
+                h += 1
+                parts[h] = r
+                t -= r
+            if t > 1:
+                h += 1
+                parts[h] = t
+            size = h + 2 if t == 1 else h + 1
+        out.append(tuple(parts[:size]))
     return out
 
 
-def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose of the Young diagram."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
+def _check_partition(parts) -> tuple[int, ...]:
+    """parts as a tuple, or ValueError unless they are weakly decreasing and positive."""
+    t = tuple(parts)
+    if not t or t[-1] < 1 or any(a < b for a, b in zip(t, t[1:])):
+        raise ValueError(f"not a partition (weakly decreasing positive parts): {parts!r}")
+    return t
+
+
+def _transpose(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """conjugate_partition of a valid partition, in O(len(parts) + parts[0]).
+
+    Walking up from the bottom row, row i (1-based) is the lowest row to reach
+    the columns from len(conj) up to its own length, so each of them has length i.
+    """
+    conj: list[int] = []
+    for i in range(len(parts), 0, -1):
+        conj.extend([i] * (parts[i - 1] - len(conj)))
+    return tuple(conj)
+
+
+def conjugate_partition(parts) -> tuple[int, ...]:
+    """Transpose of the Young diagram, in one pass over the rows."""
+    return _transpose(_check_partition(parts))
 
 
 def _hook_degree(parts: tuple[int, ...], conj: tuple[int, ...]) -> int:
@@ -59,16 +94,23 @@ def _hook_degree(parts: tuple[int, ...], conj: tuple[int, ...]) -> int:
 
 def hook_degree(parts) -> int:
     """Character degree of S_k at the partition: k! / product of hook lengths."""
-    t = tuple(parts)
-    if not t or any(p < 1 for p in t) or any(a < b for a, b in zip(t, t[1:])):
-        raise ValueError(f"not a partition (weakly decreasing positive parts): {parts!r}")
-    return _hook_degree(t, conjugate_partition(t))
+    t = _check_partition(parts)
+    return _hook_degree(t, _transpose(t))
 
 
 def _transpose_pairs(k: int):
-    """(degree, self-conjugate) once per pair {partition, transpose} of k: both have one degree."""
+    """(degree, self-conjugate) once per pair {partition, transpose} of k: both have one degree.
+
+    The walk keeps the lexicographically smaller member of each pair.  When
+    λ₁ > ℓ(λ), the transpose starts with λ′₁ = ℓ(λ) < λ₁, so λ′ < λ and λ is
+    skipped before any transpose is built; that is about half the partitions.
+    When λ₁ < ℓ(λ), λ is the smaller one, and only λ₁ = ℓ(λ) needs the full
+    comparison.  Each transpose costs O(λ₁ + ℓ(λ)).
+    """
     for lam in partitions(k):
-        conj = conjugate_partition(lam)
+        if lam[0] > len(lam):
+            continue
+        conj = _transpose(lam)
         if lam <= conj:
             yield _hook_degree(lam, conj), lam == conj
 

@@ -226,6 +226,18 @@ def test_alt_golden_bytes(tmp_path, fmt, digest):
     assert manifest["output_sha256"] == digest
 
 
+# SHA-256 of the A_40 census at s = 1.0, recorded before partitions came from
+# ZS1 and the pair walk skipped λ₁ > ℓ(λ): k = 40 is where both change the
+# most steps.
+GOLDEN_A40_CSV_SHA256 = "7d933ad3513c5156c1c2f7d0ba4dd83eef696584861a0590177d4209eca36bc1"
+
+
+def test_alt_k40_golden_bytes(tmp_path):
+    out = tmp_path / "a40.csv"
+    assert main(["alt", "--k", "40", "--s", "1.0", "--out", str(out), "--format", "csv"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_A40_CSV_SHA256
+
+
 def test_alt_index_check_at_a_large_degree_cap(capsys):
     # the largest A_24 degree is about 1.17e11: the check reads the counts
     # only where they step

@@ -1,5 +1,6 @@
 """Partition combinatorics and alternating-group degree censuses."""
 
+import functools
 import gc
 import math
 from collections import Counter
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from repzeta.census import DegreeCensus
 from repzeta.rootsystems import build_root_system
 from repzeta.symalt import (
+    MAX_PARTITION_SIZE,
+    _transpose_pairs,
     alt_degree_census,
     alt_zeta,
     alt_zeta_exact,
@@ -27,25 +30,84 @@ from repzeta.symalt import (
 from repzeta.witten import dimension_census
 
 
+def _pentagonal_partition_counts(n):
+    """p(0..n) from Euler's pentagonal recurrence, kept apart from the library."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        j = 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= m:
+                    p[m] += sign * p[m - g]
+            j += 1
+    return p
+
+
+def _distinct_odd_part_counts(n):
+    """Partitions of 0..n into distinct odd parts: the self-conjugate counts."""
+    sc = [1] + [0] * n
+    for part in range(1, n + 1, 2):
+        for m in range(n, part - 1, -1):
+            sc[m] += sc[m - part]
+    return sc
+
+
+PARTITION_COUNTS = _pentagonal_partition_counts(MAX_PARTITION_SIZE)
+
+
+@functools.cache
+def _partitions(k):
+    return partitions(k)
+
+
 def test_partition_counts():
-    expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
-    for k, count in enumerate(expected):
-        if k == 0:
-            continue
-        assert len(partitions(k)) == count
+    assert PARTITION_COUNTS[:15] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
+    assert PARTITION_COUNTS[40] == 37338
+    for k in range(1, MAX_PARTITION_SIZE + 1):
+        assert len(_partitions(k)) == PARTITION_COUNTS[k]
 
 
 def test_partition_order_is_reverse_lexicographic():
-    parts = partitions(6)
-    assert parts[0] == (6,)
-    assert parts[-1] == (1,) * 6
-    assert all(a > b for a, b in zip(parts, parts[1:]))
+    for k in range(1, MAX_PARTITION_SIZE + 1):
+        parts = _partitions(k)
+        assert parts[0] == (k,)
+        assert parts[-1] == (1,) * k
+        assert all(a > b for a, b in zip(parts, parts[1:]))
+        assert set(map(type, parts)) == {tuple} and set(map(sum, parts)) == {k}
+        assert all(lam[-1] >= 1 and list(lam) == sorted(lam, reverse=True) for lam in parts)
 
 
 def test_conjugate_partition():
     assert conjugate_partition((4, 2, 1)) == (3, 2, 1, 1)
     assert conjugate_partition((3, 3)) == (2, 2, 2)
     assert conjugate_partition(conjugate_partition((5, 4, 2, 2, 1))) == (5, 4, 2, 2, 1)
+
+
+@pytest.mark.parametrize("function", [conjugate_partition, hook_degree])
+@pytest.mark.parametrize("parts", [(1, 3), (2, 0, 1), (2, 0), ()])
+def test_partition_functions_reject_what_is_not_a_partition(function, parts):
+    with pytest.raises(ValueError, match=r"not a partition \(weakly decreasing positive parts\)"):
+        function(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, MAX_PARTITION_SIZE), data=st.data())
+def test_conjugate_partition_is_the_column_count_involution(k, data):
+    lam = _partitions(k)[data.draw(st.integers(0, PARTITION_COUNTS[k] - 1))]
+    conj = conjugate_partition(lam)
+    # the column-count definition: one sum over the rows per column
+    assert conj == tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+    assert conjugate_partition(conj) == lam
+    assert sum(conj) == sum(lam)
+
+
+def test_transpose_pairs_visit_each_pair_once():
+    sc = _distinct_odd_part_counts(30)
+    for k in range(1, 31):
+        flags = [self_conjugate for _, self_conjugate in _transpose_pairs(k)]
+        assert 2 * len(flags) == PARTITION_COUNTS[k] + sc[k]
+        assert sum(flags) == sc[k]
 
 
 def _count_standard_tableaux(parts):
@@ -192,7 +254,8 @@ def test_index_two_count_inequalities():
 @pytest.mark.parametrize("build", [
     lambda: partitions(20),
     lambda: dimension_census(build_root_system("A", 2), 1000),
-], ids=["partitions", "a2_census"])
+    lambda: alt_degree_census(12),
+], ids=["partitions", "a2_census", "alt_census"])
 def test_no_reference_cycles(build):
     # a cycle keeps a call's work alive until the next full collection
     gc.collect()
