@@ -4,12 +4,15 @@ Two ring flavors with the same residue field F_p: integers mod p^k and
 truncated polynomials F_p[t]/(t^k).  Elements are encoded as integers in
 [0, p^k): the residue itself in the first case, the base-p digit string of
 the polynomial in the second (so the uniformizer power pi^j encodes as p^j
-in both, and a is a unit exactly when a % p != 0).  A matrix (a, b, c, d)
-encodes as ((a m + b) m + c) m + d with m = p^k, so sorting codes sorts
-matrices lexicographically.
+in both, and a is a unit exactly when a % p != 0).  Either ring is its
+addition and multiplication tables over these codes; only filling them
+depends on the flavor.  A matrix (a, b, c, d) encodes as
+((a m + b) m + c) m + d with m = p^k, so sorting codes sorts matrices
+lexicographically.
 
 The group is enumerated directly as the solutions of ad - bc = 1, and a
-build raises unless they number exactly the predicted order, all distinct.
+build raises unless they number exactly the predicted order, all distinct;
+the group keeps that sorted table.
 Each generator then acts on the sorted elements as an index permutation,
 and one orbit routine takes the connected components of such permutations.
 Under left multiplication there must be exactly one component, which
@@ -31,9 +34,7 @@ from .errors import BudgetExceededError
 from .numtheory import prime_power
 
 DEFAULT_GROUP_BUDGET = 200_000
-_MAX_TABLE_SIZE = 2048  # polynomial flavor builds size*size op tables
-# entries are int32 and so are their products: size^2 must stay below 2^31
-_MAX_RING_SIZE = math.isqrt(np.iinfo(np.int32).max)
+_MAX_TABLE_SIZE = 2048  # the size*size operation tables, and their int32 indices
 
 Matrix = tuple[int, int, int, int]
 _IDENTITY: Matrix = (1, 0, 0, 1)
@@ -42,7 +43,10 @@ _IDENTITY: Matrix = (1, 0, 0, 1)
 class QuotientRing:
     """Finite local ring of size p^k: Z/p^k ("char0") or F_p[t]/t^k ("charp").
 
-    `mul`, `add` and `neg` act elementwise on encoded numpy arrays or ints.
+    Arguments are encoded elements in [0, p^k), as ints or int32 arrays.
+    `mul` and `add` read the flattened operation tables at a * size + b;
+    `neg` and `inv` read tables taken off add == 0 and mul == 1 (inv gives 0
+    at a nonunit).
     """
 
     def __init__(self, p: int, k: int, flavor: str = "char0"):
@@ -53,40 +57,30 @@ class QuotientRing:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         size = p**k
-        if size > _MAX_RING_SIZE:
-            raise ValueError(f"ring size p^k = {size} overflows int32 entry products; "
-                             f"the largest size allowed is {_MAX_RING_SIZE}")
+        if size > _MAX_TABLE_SIZE:
+            raise ValueError(f"ring size p^k = {size} needs {size}x{size} operation tables; "
+                             f"the largest size allowed is {_MAX_TABLE_SIZE}")
         self.p = p
         self.k = k
         self.flavor = flavor
         self.size = size
-        self.zero = 0
-        self.one = 1
-        if flavor == "char0":
-            self.mul = lambda a, b: a * b % size
-            self.add = lambda a, b: (a + b) % size
-            self.neg = lambda a: -a % size
-        else:
-            if size > _MAX_TABLE_SIZE:
-                raise ValueError(
-                    f"polynomial flavor builds {size}x{size} operation tables; "
-                    f"size bound is {_MAX_TABLE_SIZE}"
-                )
-            mul, add, neg = _polynomial_tables(p, k)
-            self.mul = lambda a, b: mul[a, b]
-            self.add = lambda a, b: add[a, b]
-            self.neg = lambda a: neg[a]
+        add, mul = _tables(p, k, flavor)
+        self._neg = np.argmax(add == 0, axis=1).astype(np.int32)
+        self._inv = np.argmax(mul == 1, axis=1).astype(np.int32)
+        self._add = add.ravel()
+        self._mul = mul.ravel()
+
+    def add(self, a, b):
+        return self._add[a * self.size + b]
+
+    def mul(self, a, b):
+        return self._mul[a * self.size + b]
+
+    def neg(self, a):
+        return self._neg[a]
 
     def inv(self, a):
-        """Inverse of each unit in a: a^(|R^x| - 1), where |R^x| = p^(k-1)(p-1)."""
-        e = self.p ** (self.k - 1) * (self.p - 1) - 1
-        out = np.ones_like(a)
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return self._inv[a]
 
     def label(self) -> str:
         if self.flavor == "char0":
@@ -94,9 +88,15 @@ class QuotientRing:
         return f"F_{self.p}[t]/(t^{self.k})"
 
 
-def _polynomial_tables(p: int, k: int):
-    """Addition, multiplication and negation tables of F_p[t]/(t^k), encoded."""
+def _tables(p: int, k: int, flavor: str):
+    """Addition and multiplication tables of the ring, over encoded elements.
+
+    Z/p^k works mod p^k; F_p[t]/(t^k) works digit by digit, mod p, and
+    multiplies by convolving the digit strings.
+    """
     r = np.arange(p**k, dtype=np.int32)
+    if flavor == "char0":
+        return np.add.outer(r, r) % r.size, np.multiply.outer(r, r) % r.size
     digits = [r // p**i % p for i in range(k)]
     add = np.zeros((r.size, r.size), dtype=np.int32)
     mul = np.zeros_like(add)
@@ -104,8 +104,7 @@ def _polynomial_tables(p: int, k: int):
         add += np.add.outer(digits[n], digits[n]) % p * p**n
         conv = sum(np.multiply.outer(digits[i], digits[n - i]) for i in range(n + 1))
         mul += conv % p * p**n
-    neg = sum(-digits[n] % p * p**n for n in range(k))
-    return mul, add, neg
+    return add, mul
 
 
 def predicted_order(ring: QuotientRing) -> int:
@@ -116,20 +115,24 @@ def predicted_order(ring: QuotientRing) -> int:
 
 @dataclass
 class FiniteMatrixGroup:
+    """SL2 over a ring as its sorted table: the int64 matrix codes in increasing
+    order, and the four int32 entry columns (a, b, c, d) in the same order."""
+
     ring: QuotientRing
     generators: tuple[Matrix, ...]
-    elements: np.ndarray = field(repr=False)  # int32 rows (a, b, c, d), shape (order, 4)
+    codes: np.ndarray = field(repr=False)
+    cols: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
 
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
     """Enumerate SL2 over the ring and certify its elementary generators.
 
     The elements are the solutions of ad - bc = 1, sorted lexicographically,
-    as the rows of an int32 array.
+    kept as their codes and entry columns.
     The build raises unless they number exactly the predicted order and are
     distinct, which certifies completeness.  Generators are the upper/lower
     elementaries with every uniformizer power as off-diagonal entry; left
@@ -154,7 +157,7 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
             f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
             "so they do not generate SL2"
         )
-    return FiniteMatrixGroup(ring=ring, generators=gens, elements=np.stack(cols, axis=1))
+    return FiniteMatrixGroup(ring=ring, generators=gens, codes=codes, cols=cols)
 
 
 @dataclass(frozen=True)
@@ -172,16 +175,16 @@ class ConjugacyClasses:
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """Partition the group into conjugacy classes.
 
-    The classes are the orbits of conjugation by the group's generators; the
-    elements may come in any order.  Each class is represented by its
-    lexicographically least element, and the classes are listed in the order
-    of their representatives.
+    The classes are the orbits of conjugation by the group's generators on
+    its sorted table.  Each class is represented by its lexicographically
+    least element, and the classes are listed in the order of their
+    representatives.
     """
     ring = group.ring
-    codes, cols = _sort_by_code(ring, np.asarray(group.elements, dtype=np.int32).T)
-    labels = _orbit_labels(ring, codes, cols, [(g, _inverse(ring, g)) for g in group.generators])
+    actions = [(g, _inverse(ring, g)) for g in group.generators]
+    labels = _orbit_labels(ring, group.codes, group.cols, actions)
     roots, sizes = np.unique(labels, return_counts=True)
-    return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in cols)),
+    return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in group.cols)),
                             sizes=tuple(sizes.tolist()))
 
 
@@ -189,8 +192,8 @@ def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
     gens: list[Matrix] = []
     for j in range(ring.k):
         u = ring.p**j  # pi^j, in either flavor
-        gens.append((ring.one, u, ring.zero, ring.one))
-        gens.append((ring.one, ring.zero, u, ring.one))
+        gens.append((1, u, 0, 1))
+        gens.append((1, 0, u, 1))
     return tuple(gens)
 
 
@@ -203,18 +206,13 @@ def _sl2_elements(ring: QuotientRing):
     r = np.arange(ring.size, dtype=np.int32)
     units, nonunits = r[r % ring.p != 0], r[r % ring.p == 0]
     a1, b1, c1 = (x.ravel() for x in np.meshgrid(units, r, r, indexing="ij"))
-    d1 = ring.mul(ring.inv(a1), ring.add(ring.one, ring.mul(b1, c1)))
+    d1 = ring.mul(ring.inv(a1), ring.add(1, ring.mul(b1, c1)))
     a2, b2, d2 = (x.ravel() for x in np.meshgrid(nonunits, units, r, indexing="ij"))
-    c2 = ring.mul(ring.inv(b2), ring.add(ring.mul(a2, d2), ring.neg(ring.one)))
+    c2 = ring.mul(ring.inv(b2), ring.add(ring.mul(a2, d2), ring.neg(1)))
     cols = tuple(np.concatenate(pair) for pair in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)))
     a, b, c, d = cols
-    if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == ring.one):
+    if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 1):
         raise AssertionError(f"enumeration over {ring.label()} produced ad - bc != 1")
-    return _sort_by_code(ring, cols)
-
-
-def _sort_by_code(ring: QuotientRing, cols):
-    """Sort matrices by code; raise on a duplicate."""
     codes = _image_codes(ring, _IDENTITY, _IDENTITY, cols)
     by_code = np.argsort(codes)
     codes = codes[by_code]
@@ -278,8 +276,6 @@ def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:
     This is the finite-level estimate of the conjugacy growth exponent; for
     SL2 it decreases toward 1 as the level grows.
     """
-    import math
-
     if not counts:
         raise ValueError("need class counts for at least one level")
     if q < 2:

@@ -57,24 +57,17 @@ def _excess(q, s: float):
     return level_one + geometric / -np.expm1((1.0 - s) * np.log(q))
 
 
-def sl2_local_excess(q, s: float):
+def sl2_local_excess(q: int, s: float) -> float:
     """Exact local zeta value minus one, L_q(s) - 1, without forming L_q(s).
 
-    q is an odd prime power, or an array of them small enough that q^2 + q
-    fits in int64; each one is checked, and s > 1.  At q = 999983 and s = 3
-    the excess is about 1e-12, and L_q(s) rounded to a float keeps only four
-    of its digits: take log L_q(s) as log1p of this.
+    q is an odd prime power and s > 1.  At q = 999983 and s = 3 the excess
+    is about 1e-12, and L_q(s) rounded to a float keeps only four of its
+    digits: take log L_q(s) as log1p of this.
     """
-    distinct = np.unique(q).tolist()
-    for x in distinct:
-        _check_q(x)
-    if np.ndim(q):
-        if distinct[-1] ** 2 + distinct[-1] > np.iinfo(np.int64).max:
-            raise ValueError(f"q = {distinct[-1]} overflows int64 degrees; pass it as an int")
-        q = np.asarray(q, dtype=np.int64)
+    _check_q(q)
     if not s > 1:
         raise ValueError(f"s must exceed 1 for the geometric factor to converge, got {s}")
-    return _excess(q, s)
+    return float(_excess(q, s))
 
 
 def sl2_local_zeta(q: int, s: float) -> float:
@@ -82,7 +75,7 @@ def sl2_local_zeta(q: int, s: float) -> float:
 
     Defined for s > 1 (the geometric factor diverges at s = 1).
     """
-    return 1.0 + float(sl2_local_excess(q, s))
+    return 1.0 + sl2_local_excess(q, s)
 
 
 def sl2_degree_census(q: int, k: int) -> DegreeCensus:

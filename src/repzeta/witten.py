@@ -182,7 +182,8 @@ class OrderedExpSeriesReport:
 
 
 def _truncated_ordered_exp_sum(coeffs: tuple[float, ...], depth: int) -> float:
-    """Direct evaluation of the series with every index b_i <= depth."""
+    """Direct evaluation of the series with every index b_i <= depth; inf when
+    a term overflows a float."""
     k = len(coeffs)
     # g[i][b] = partial sum over choices of b_i >= b, ..., b_k, all <= depth
     nxt = [1.0] * (depth + 2)
@@ -190,7 +191,10 @@ def _truncated_ordered_exp_sum(coeffs: tuple[float, ...], depth: int) -> float:
         cur = [0.0] * (depth + 2)
         acc = 0.0
         for b in range(depth, 0, -1):
-            acc += math.exp(coeffs[i] * b) * nxt[b + 1]
+            try:
+                acc += math.exp(coeffs[i] * b) * nxt[b + 1]
+            except OverflowError:
+                return math.inf
             cur[b] = acc
         nxt = cur
     return nxt[1]
@@ -202,10 +206,12 @@ def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:
     The series converges exactly when every suffix sum a_i + ... + a_k is
     negative, in which case it equals
 
-        prod_{i=1..k} exp(S_i) / (1 - exp(S_i)),   S_i = a_i + ... + a_k.
+        prod_{i=1..k} exp(S_i) / (1 - exp(S_i)),   S_i = a_i + ... + a_k,
 
-    The truncated sum (every b_i <= ORDERED_EXP_DEPTH) is returned alongside
-    so the closed form can be checked numerically.
+    with each 1 - exp(S_i) taken as -expm1(S_i), so that a suffix sum near 0
+    keeps its digits.  The truncated sum (every b_i <= ORDERED_EXP_DEPTH) is
+    returned alongside so the closed form can be checked numerically; it is
+    inf when it overflows a float, as a divergent series soon does.
     """
     coeffs = tuple(float(a) for a in coefficients)
     if not coeffs:
@@ -224,8 +230,8 @@ def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:
     closed = None
     if converges:
         closed = 1.0
-        for s in suffix:
-            closed *= math.exp(s) / (1.0 - math.exp(s))
+        for s in suffix:  # a factor alone may overflow where the product does not
+            closed = closed * math.exp(s) / -math.expm1(s)
     return OrderedExpSeriesReport(
         coefficients=coeffs,
         suffix_sums=tuple(suffix),

@@ -157,6 +157,10 @@ def test_census_flavors_agree(capsys):
 GOLDEN_CENSUS_SHA256 = [
     ("3", "3", "char0", "6ac35a3c14f3091fab25fdb7b330bbecfdd079c733e0d450b007cf2e69c69121"),
     ("5", "2", "charp", "eb49494076a6cbbfdb89348622549473131414a375e76824f2397b555061f9bb"),
+    # recorded before the ring became its operation tables; (7, 2) is the
+    # largest group of level >= 2 within the default budget
+    ("7", "2", "char0", "5eafb6011c90558b3d4994187bad7f7c6da607cc8cc5427dab430a889c3a292e"),
+    ("7", "2", "charp", "8b10f3984762f7a88adb43ee642bfbcdf5565dc7f5dae68a7d1c77eac704fa6f"),
 ]
 
 
@@ -360,6 +364,12 @@ GOLDEN_STDOUT = [
      "local factor q=3 at s=2: 5.17361111111\n"
      "census q=3 level 3: 79 classes, max degree 36\n"),
     ("bounds-audit --x-max 12 --md-max 12 --verbose", AUDIT_VERBOSE_STDOUT),
+    ("census sl2 --p 7 --k 2 --ring charp",
+     "SL2 over F_7[t]/(t^2): order 115248\n"
+     "classes: 81\n"),
+    ("census sl2 --p 3 --k 3",
+     "SL2 over Z/3^3: order 17496\n"
+     "classes: 79\n"),
 ]
 
 

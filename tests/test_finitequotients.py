@@ -1,7 +1,6 @@
 """Brute-force SL2 censuses over finite quotient rings, both flavors."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 import repzeta.finitequotients as fq
 from repzeta.errors import BudgetExceededError
 from repzeta.finitequotients import (
-    FiniteMatrixGroup,
     QuotientRing,
     build_sl2_group,
     class_growth_exponents,
@@ -87,18 +85,17 @@ def test_build_rejects_generators_that_do_not_generate(monkeypatch):
         build_sl2_group(QuotientRing(3, 2, "charp"))
 
 
-def test_element_order_invariance():
-    ring = QuotientRing(3, 2, "charp")
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_group_keeps_its_sorted_table(flavor):
+    ring = QuotientRing(3, 2, flavor)
     group = build_sl2_group(ring)
-    baseline = conjugacy_classes(group)
-    shuffled = list(group.elements)
-    random.Random(11).shuffle(shuffled)
-    regrouped = FiniteMatrixGroup(ring=ring, generators=group.generators,
-                                  elements=tuple(shuffled))
-    reshuffled = conjugacy_classes(regrouped)
-    assert reshuffled.count == baseline.count
-    assert sorted(reshuffled.sizes) == sorted(baseline.sizes)
-    assert reshuffled == baseline
+    m = ring.size
+    a, b, c, d = (col.astype(np.int64) for col in group.cols)
+    assert all(col.dtype == np.int32 for col in group.cols)
+    assert group.codes.dtype == np.int64
+    assert (np.diff(group.codes) > 0).all()
+    assert np.array_equal(group.codes, ((a * m + b) * m + c) * m + d)
+    assert group.order == len(group.codes) == 648
 
 
 def test_ring_flavor_determines_label_but_not_census():
@@ -155,14 +152,38 @@ def test_ring_validation():
 
 
 def test_ring_size_bound_keeps_int32_products_exact():
-    # 46340^2 < 2^31 - 1 < 46341^2; 46337 is the largest prime below the bound
-    ring = QuotientRing(46337, 1, "char0")
-    a = np.array([46336, 2, 23169], dtype=np.int32)
-    assert ring.mul(a, a).tolist() == [1, 4, 23169 * 23169 % 46337]
-    assert ring.inv(a[:1]).tolist() == [46336]
-    for p, k in ((46349, 1), (3, 10)):
-        with pytest.raises(ValueError, match="largest size allowed is 46340"):
-            QuotientRing(p, k, "char0")
+    # 3^6 = 729 <= 2048 < 3^7; 2053 is the least prime above the bound.  Table
+    # indices a * size + b stay below 2048^2 < 2^31.
+    last = np.array([728], dtype=np.int32)
+    for flavor in ("char0", "charp"):
+        ring = QuotientRing(3, 6, flavor)
+        assert ring.add(last, last).dtype == np.int32
+        assert ring.mul(last, ring.inv(last)).tolist() == [1]
+        assert ring.add(last, ring.neg(last)).tolist() == [0]
+        for p, k in ((3, 7), (2053, 1)):
+            with pytest.raises(ValueError, match="largest size allowed is 2048"):
+                QuotientRing(p, k, flavor)
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
+def test_integer_ring_tables_are_modular_arithmetic(p, k):
+    ring = QuotientRing(p, k, "char0")
+    m = p**k
+    r = np.arange(m, dtype=np.int32)
+    a, b = (x.ravel() for x in np.meshgrid(r, r, indexing="ij"))
+    assert np.array_equal(ring.add(a, b), (a + b) % m)
+    assert np.array_equal(ring.mul(a, b), a * b % m)
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 2), (7, 1)])
+def test_negation_and_inverse_tables(flavor, p, k):
+    ring = QuotientRing(p, k, flavor)
+    r = np.arange(p**k, dtype=np.int32)
+    assert (ring.add(r, ring.neg(r)) == 0).all()
+    units = r[r % p != 0]
+    assert (ring.mul(units, ring.inv(units)) == 1).all()
+    assert ring.neg(0) == 0 and ring.inv(1) == 1
 
 
 def test_class_growth_exponents_q3():

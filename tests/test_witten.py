@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repzeta.census import DegreeCensus
@@ -230,6 +230,38 @@ def test_ordered_exp_series_suffix_order_and_divergence():
     assert abs(report.suffix_sums[0] - 0.0) < 1e-15
     assert abs(report.suffix_sums[1] + 0.5) < 1e-15
     assert not report.converges
+
+
+def test_ordered_exp_series_reports_overflowing_divergence():
+    # exp(12 * 60) overflows a float: the truncated sum is inf, not an error
+    report = ordered_exp_series_check((12.0,))
+    assert not report.converges
+    assert report.closed_form is None and report.agreement_gap is None
+    assert report.truncated == math.inf
+
+
+@pytest.mark.parametrize("a", [-1e-9, -1e-17, -1e-300])
+def test_ordered_exp_series_closed_form_near_zero(a):
+    # 1 / (e^|a| - 1) = 1/|a| - 1/2 + O(|a|); 1 - exp(a) rounds to 0 below 1e-16
+    report = ordered_exp_series_check((a,))
+    assert report.converges
+    assert report.closed_form == pytest.approx(1.0 / -a - 0.5, rel=1e-15)
+    assert report.truncated == pytest.approx(60.0, rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=4))
+@example([-2.0, -2.225073858507203e-309])  # a lone factor 4.5e308 overflows, the product does not
+def test_ordered_exp_series_closed_form_matches_mpmath(coefficients):
+    mpmath = pytest.importorskip("mpmath")
+    report = ordered_exp_series_check(coefficients)
+    if not report.converges:
+        assert report.closed_form is None
+        return
+    with mpmath.workdps(50):
+        exact = mpmath.fprod(mpmath.exp(s) / -mpmath.expm1(s) for s in report.suffix_sums)
+        expected = float(exact)
+    assert report.closed_form == pytest.approx(expected, rel=1e-13)
 
 
 def test_ordered_exp_series_needs_depth_for_every_index():
