@@ -15,6 +15,8 @@ build raises unless they number exactly the predicted order, all distinct;
 the group keeps that sorted table.
 Each generator then acts on the sorted elements as an index permutation,
 and one orbit routine takes the connected components of such permutations.
+An image's index is read from a dense table keyed by (a, b, c) when a is a
+unit and by (a, b, d) when it is not; either triple fixes an element of SL2.
 Under left multiplication there must be exactly one component, which
 certifies the generator set: one pair of elementaries per uniformizer power
 is needed, since over the polynomial ring the two classic elementaries only
@@ -150,7 +152,7 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
             f"enumeration over {ring.label()} found {len(codes)} elements, expected {order}"
         )
     gens = _elementaries(ring)
-    labels = _orbit_labels(ring, codes, cols, [(g, _IDENTITY) for g in gens])
+    labels = _orbit_labels(ring, cols, [(g, _IDENTITY) for g in gens])
     cosets = np.unique(labels).size
     if cosets != 1:
         raise AssertionError(
@@ -182,7 +184,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """
     ring = group.ring
     actions = [(g, _inverse(ring, g)) for g in group.generators]
-    labels = _orbit_labels(ring, group.codes, group.cols, actions)
+    labels = _orbit_labels(ring, group.cols, actions)
     roots, sizes = np.unique(labels, return_counts=True)
     return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in group.cols)),
                             sizes=tuple(sizes.tolist()))
@@ -213,7 +215,11 @@ def _sl2_elements(ring: QuotientRing):
     a, b, c, d = cols
     if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 1):
         raise AssertionError(f"enumeration over {ring.label()} produced ad - bc != 1")
-    codes = _image_codes(ring, _IDENTITY, _IDENTITY, cols)
+    m = ring.size
+    codes = a.astype(np.int64)
+    for col in (b, c, d):
+        codes *= m
+        codes += col
     by_code = np.argsort(codes)
     codes = codes[by_code]
     if np.any(codes[1:] == codes[:-1]):
@@ -230,36 +236,48 @@ def _inverse(ring: QuotientRing, g: Matrix) -> Matrix:
     return (d, ring.neg(b), ring.neg(c), a)
 
 
-def _image_codes(ring: QuotientRing, g: Matrix, h: Matrix, cols):
-    """Codes of g x h for every x: entry (i, j) is the sum of g_ik x_kl h_lj."""
-    code = np.zeros(len(cols[0]), dtype=np.int64)
+def _image(ring: QuotientRing, g: Matrix, h: Matrix, cols):
+    """Entry columns of g x h for every x: entry (i, j) is the sum of g_ik x_kl h_lj."""
+    image = []
     for i in (0, 1):
         for j in (0, 1):
             coefs = (ring.mul(g[2 * i + k], h[2 * l + j]) for k in (0, 1) for l in (0, 1))
             terms = (x if c == 1 else ring.mul(c, x) for c, x in zip(coefs, cols) if c)
-            code *= ring.size
-            code += reduce(ring.add, terms)
-    return code
+            image.append(reduce(ring.add, terms))
+    return image
 
 
-def _orbit_labels(ring: QuotientRing, codes, cols, actions):
+def _keys(ring: QuotientRing, cols):
+    """(a m + b) m + (c if a is a unit else d), with m = p^k: injective on SL2.
+
+    With a a unit, (a, b, c) fixes d = a^-1 (1 + bc); with a a nonunit, b is
+    a unit and (a, b, d) fixes c.  Every key lies below m^3.
+    """
+    a, b, c, d = cols
+    m = ring.size
+    keys = a.astype(np.int64)
+    keys *= m
+    keys += b
+    keys *= m
+    keys += np.where(a % ring.p != 0, c, d)
+    return keys
+
+
+def _orbit_labels(ring: QuotientRing, cols, actions):
     """Least index in each element's orbit under the maps x -> g x h, (g, h) in actions.
 
-    Each map becomes an index permutation of the sorted elements (an image
-    outside them raises), and the orbits are the connected components of
-    those permutations: min-label propagation along each permutation, then
-    pointer jumping, until nothing changes.  One direction suffices, since a
+    Each map becomes an index permutation of the elements (see
+    `_permutation`), and the orbits are the connected components of those
+    permutations: min-label propagation along each permutation, then pointer
+    jumping, until nothing changes.  One direction suffices, since a
     permutation's edges lie on its cycles.
     """
-    last = len(codes) - 1
-    perms = []
-    for g, h in actions:
-        target = _image_codes(ring, g, h, cols)
-        idx = np.minimum(np.searchsorted(codes, target), last)
-        if not np.array_equal(codes[idx], target):
-            raise AssertionError(f"x -> {g} x {h} maps some element outside the set")
-        perms.append(idx.astype(np.int32))
-    labels = np.arange(len(codes), dtype=np.int32)
+    n = len(cols[0])
+    where = np.full(ring.size**3, n, dtype=np.int32)
+    where[_keys(ring, cols)] = np.arange(n, dtype=np.int32)
+    # one call per map, so each map's image columns are freed before the next
+    perms = [_permutation(ring, cols, where, g, h) for g, h in actions]
+    labels = np.arange(n, dtype=np.int32)
     while True:
         previous = labels
         for perm in perms:
@@ -268,6 +286,23 @@ def _orbit_labels(ring: QuotientRing, codes, cols, actions):
             labels = jumped
         if np.array_equal(labels, previous):
             return labels
+
+
+def _permutation(ring: QuotientRing, cols, where, g: Matrix, h: Matrix):
+    """Index of g x h for every element x, read from the dense table `where`
+    over the elements' `_keys` (n at a key that no element has).
+
+    An image whose key no element has, or whose four entries differ from
+    those of the element at its index, raises; the second test also catches
+    an image off SL2 whose key is an element's.
+    """
+    n = len(cols[0])
+    image = _image(ring, g, h, cols)
+    idx = where[_keys(ring, image)]
+    found = (idx < n).all() and all(np.array_equal(col[idx], x) for col, x in zip(cols, image))
+    if not found:
+        raise AssertionError(f"x -> {g} x {h} maps some element outside the set")
+    return idx
 
 
 def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:

@@ -183,21 +183,30 @@ class OrderedExpSeriesReport:
 
 def _truncated_ordered_exp_sum(coeffs: tuple[float, ...], depth: int) -> float:
     """Direct evaluation of the series with every index b_i <= depth; inf when
-    a term overflows a float."""
+    the sum overflows a float.
+
+    The recursion runs on logarithms, so an inner partial sum too large for a
+    float can still be cut down by a very negative outer coefficient."""
     k = len(coeffs)
-    # g[i][b] = partial sum over choices of b_i >= b, ..., b_k, all <= depth
-    nxt = [1.0] * (depth + 2)
+    # g[i][b] = log of the partial sum over choices of b_i >= b, ..., b_k, all <= depth
+    nxt = [0.0] * (depth + 2)
     for i in range(k - 1, -1, -1):
-        cur = [0.0] * (depth + 2)
-        acc = 0.0
+        cur = [-math.inf] * (depth + 2)
         for b in range(depth, 0, -1):
-            try:
-                acc += math.exp(coeffs[i] * b) * nxt[b + 1]
-            except OverflowError:
-                return math.inf
-            cur[b] = acc
+            cur[b] = _log_add(cur[b + 1], coeffs[i] * b + nxt[b + 1])
         nxt = cur
-    return nxt[1]
+    try:
+        return math.exp(nxt[1])
+    except OverflowError:
+        return math.inf
+
+
+def _log_add(x: float, y: float) -> float:
+    """log(e^x + e^y), with -inf for an empty sum."""
+    hi, lo = max(x, y), min(x, y)
+    if lo == -math.inf or hi == math.inf:
+        return hi
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:

@@ -1,5 +1,8 @@
 """Brute-force SL2 censuses over finite quotient rings, both flavors."""
 
+import csv
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -47,7 +50,18 @@ def test_identity_is_a_singleton_class():
     assert classes.sizes[idx] == 1
 
 
-@pytest.mark.parametrize("p,k,flavor", [(7, 2, "char0"), (7, 2, "charp"), (3, 4, "charp")])
+# SHA-256 of the class CSV that `census sl2 --out` writes.  (3, 4), of order
+# 472,392, is over the CLI budget; its digests were recorded before the orbit
+# permutations switched from a binary search to a dense key table.
+LARGER_LEVEL_CSV_SHA256 = {
+    (7, 2, "char0"): "5eafb6011c90558b3d4994187bad7f7c6da607cc8cc5427dab430a889c3a292e",
+    (7, 2, "charp"): "8b10f3984762f7a88adb43ee642bfbcdf5565dc7f5dae68a7d1c77eac704fa6f",
+    (3, 4, "char0"): "0709ff02473705e9bfd9f9df7c52286ad43af89cc1b1d33ff113bbba1bc8b347",
+    (3, 4, "charp"): "388bcb40789f48d9bc337380904e99e0d5ea1a558190f573044c81a652a67a4a",
+}
+
+
+@pytest.mark.parametrize("p,k,flavor", list(LARGER_LEVEL_CSV_SHA256))
 def test_larger_levels_match_the_closed_form(p, k, flavor):
     # The budget comes from the group order, not from sl2local, so the brute
     # force stays independent of the closed form it is checked against.
@@ -58,11 +72,18 @@ def test_larger_levels_match_the_closed_form(p, k, flavor):
     assert sum(classes.sizes) == group.order
     assert all(type(x) is int for rep in classes.representatives for x in rep)
     assert all(type(s) is int for s in classes.sizes)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["rep_a", "rep_b", "rep_c", "rep_d", "class_size"])
+    for rep, size in zip(classes.representatives, classes.sizes):
+        writer.writerow(list(rep) + [size])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == LARGER_LEVEL_CSV_SHA256[p, k, flavor]
 
 
 def _left_orbit_count(ring, generators):
-    codes, cols = fq._sl2_elements(ring)
-    labels = fq._orbit_labels(ring, codes, cols, [(g, fq._IDENTITY) for g in generators])
+    _, cols = fq._sl2_elements(ring)
+    labels = fq._orbit_labels(ring, cols, [(g, fq._IDENTITY) for g in generators])
     return len(set(labels.tolist()))
 
 
@@ -73,6 +94,25 @@ def test_generation_certificate_counts_cosets():
         ring = QuotientRing(3, 2, flavor)
         assert _left_orbit_count(ring, fq._elementaries(ring)[:2]) == orbits
         assert _left_orbit_count(ring, fq._elementaries(ring)) == 1
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_orbit_labels_reject_an_image_outside_the_group(flavor):
+    ring = QuotientRing(3, 2, flavor)
+    _, cols = fq._sl2_elements(ring)
+    keys = set(fq._keys(ring, cols).tolist())
+
+    def image_keys(g):
+        return set(fq._keys(ring, fq._image(ring, g, fq._IDENTITY, cols)).tolist())
+
+    # diag(2, 1) x has determinant 2, yet every image's key is some element's
+    # key, so only comparing all four entries catches it; diag(3, 1) x has a
+    # and b nonunits, a key that no element has.
+    assert image_keys((2, 0, 0, 1)) <= keys
+    assert not image_keys((3, 0, 0, 1)) & keys
+    for g in ((2, 0, 0, 1), (3, 0, 0, 1)):
+        with pytest.raises(AssertionError, match="maps some element outside the set"):
+            fq._orbit_labels(ring, cols, [(g, fq._IDENTITY)])
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):

@@ -12,6 +12,7 @@ from repzeta.census import DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsystems import build_root_system, weyl_dim
 from repzeta.witten import (
+    ORDERED_EXP_DEPTH,
     abscissa_estimate,
     dimension_census,
     ordered_exp_series_check,
@@ -262,6 +263,31 @@ def test_ordered_exp_series_closed_form_matches_mpmath(coefficients):
         exact = mpmath.fprod(mpmath.exp(s) / -mpmath.expm1(s) for s in report.suffix_sums)
         expected = float(exact)
     assert report.closed_form == pytest.approx(expected, rel=1e-13)
+
+
+def test_ordered_exp_series_truncated_sum_survives_an_overflowing_partial_sum():
+    # The inner sum over (b_2, b_3) reaches e^955 and overflows a float, but
+    # e^(-800 b_1) brings every term below e^155.
+    mpmath = pytest.importorskip("mpmath")
+    coefficients = (-800.0, 5.0, 11.0)
+    report = ordered_exp_series_check(coefficients)
+    assert math.isfinite(report.truncated)
+    with mpmath.workdps(50):  # the same recursion, on 50-digit numbers
+        nxt = [mpmath.mpf(1)] * (ORDERED_EXP_DEPTH + 2)
+        for a in reversed(coefficients):
+            cur = [mpmath.mpf(0)] * (ORDERED_EXP_DEPTH + 2)
+            for b in range(ORDERED_EXP_DEPTH, 0, -1):
+                cur[b] = cur[b + 1] + mpmath.exp(a * b) * nxt[b + 1]
+            nxt = cur
+        expected = float(nxt[1])
+    assert report.truncated == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=4))
+@example([-40.0, 6.0, 6.0])  # e^(-40 b_1) underflows where the inner sum overflows
+def test_ordered_exp_series_truncated_sum_is_never_nan(coefficients):
+    assert not math.isnan(ordered_exp_series_check(coefficients).truncated)
 
 
 def test_ordered_exp_series_needs_depth_for_every_index():
