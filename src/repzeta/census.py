@@ -9,6 +9,7 @@ are built on.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,9 +78,14 @@ class DegreeCensus:
         return total
 
     def zeta_exact(self, s: int) -> Fraction:
-        """The same sum as an exact rational, at an integer s >= 0."""
+        """The same sum as an exact rational, at an integer s >= 0.
+
+        Every term is put over one denominator, lcm(d)^s = lcm(d^s), so the
+        sum is one integer and one Fraction reduces it.
+        """
         check_exact_exponent(s)
-        return sum((Fraction(m, d**s) for d, m in self.items()), Fraction(0))
+        denominator = math.lcm(*self.degrees) ** s
+        return Fraction(sum(m * (denominator // d**s) for d, m in self.items()), denominator)
 
     def max_degree(self) -> int:
         return self.degrees[-1] if self.degrees else 0

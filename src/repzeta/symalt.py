@@ -6,6 +6,14 @@ a self-conjugate partition splits into two irreducibles of half the degree.
 The wreath-tower helpers evaluate the growth conditions under which an
 iterated permutational wreath product of alternating groups keeps a finite
 abscissa target.
+
+The censuses never list partitions.  Each partition λ of k is one int64 word,
+the bitmask Σ_i 2^(λ_i + ℓ − 1 − i) of its β-set (at most k + 1 bits), and
+numpy counts the hooks of one length in every word at once with
+np.bitwise_count.  A hook product is its prime exponents packed into one int64
+key, so a census is np.unique over the keys and one decode per distinct
+degree.  `partitions` (ZS1) and `hook_degree` stay the scalar forms the kernel
+is tested against.
 """
 
 from __future__ import annotations
@@ -13,10 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
 
 from .census import DegreeCensus, check_exact_exponent
+from .numtheory import odd_primes_up_to
 
 MAX_PARTITION_SIZE = 40
+
+
+def _check_size(k: int) -> None:
+    """ValueError unless 1 <= k <= MAX_PARTITION_SIZE, the sizes a census word holds in int64."""
+    if k < 1 or k > MAX_PARTITION_SIZE:
+        raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
 
 
 def partitions(k: int) -> list[tuple[int, ...]]:
@@ -27,8 +45,7 @@ def partitions(k: int) -> list[tuple[int, ...]]:
     refills greedily from it with the freed 1s; it never reads the tail of 1s.
     Constant amortised work per partition, apart from copying it out.
     """
-    if k < 1 or k > MAX_PARTITION_SIZE:
-        raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
+    _check_size(k)
     parts = [1] * k
     parts[0] = k
     size = 1  # parts in use
@@ -63,63 +80,117 @@ def _check_partition(parts) -> tuple[int, ...]:
     return t
 
 
-def _transpose(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """conjugate_partition of a valid partition, in O(len(parts) + parts[0]).
+def conjugate_partition(parts) -> tuple[int, ...]:
+    """Transpose of the Young diagram, in one pass over the rows.
 
     Walking up from the bottom row, row i (1-based) is the lowest row to reach
     the columns from len(conj) up to its own length, so each of them has length i.
     """
+    t = _check_partition(parts)
     conj: list[int] = []
-    for i in range(len(parts), 0, -1):
-        conj.extend([i] * (parts[i - 1] - len(conj)))
+    for i in range(len(t), 0, -1):
+        conj.extend([i] * (t[i - 1] - len(conj)))
     return tuple(conj)
-
-
-def conjugate_partition(parts) -> tuple[int, ...]:
-    """Transpose of the Young diagram, in one pass over the rows."""
-    return _transpose(_check_partition(parts))
-
-
-def _hook_degree(parts: tuple[int, ...], conj: tuple[int, ...]) -> int:
-    """hook_degree of a valid partition whose conjugate is already known."""
-    hooks = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    degree, rem = divmod(math.factorial(sum(parts)), hooks)
-    if rem:
-        raise AssertionError(f"hook product does not divide {sum(parts)}! for {parts}")
-    return degree
 
 
 def hook_degree(parts) -> int:
     """Character degree of S_k at the partition: k! / product of hook lengths."""
     t = _check_partition(parts)
-    return _hook_degree(t, _transpose(t))
+    conj = conjugate_partition(t)
+    hooks = math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(t) for j in range(row))
+    degree, rem = divmod(math.factorial(sum(t)), hooks)
+    if rem:
+        raise AssertionError(f"hook product does not divide {sum(t)}! for {t}")
+    return degree
 
 
-def _transpose_pairs(k: int):
-    """(degree, self-conjugate) once per pair {partition, transpose} of k: both have one degree.
+def _words(k: int) -> np.ndarray:
+    """The β-set word Σ_i 2^(λ_i + ℓ − 1 − i) of every partition λ of k, as int64.
 
-    The walk keeps the lexicographically smaller member of each pair.  When
-    λ₁ > ℓ(λ), the transpose starts with λ′₁ = ℓ(λ) < λ₁, so λ′ < λ and λ is
-    skipped before any transpose is built; that is about half the partitions.
-    When λ₁ < ℓ(λ), λ is the smaller one, and only λ₁ = ℓ(λ) needs the full
-    comparison.  Each transpose costs O(λ₁ + ℓ(λ)).
+    A new top row of length m on a partition μ with ℓ rows, none longer than
+    m, keeps μ's beads and adds one at m + ℓ.  The words of n are built that
+    way from those of n − m, m = 1..n, so they come ordered by largest part,
+    and the partitions of n − m with largest part at most m are a prefix.
     """
-    for lam in partitions(k):
-        if lam[0] > len(lam):
-            continue
-        conj = _transpose(lam)
-        if lam <= conj:
-            yield _hook_degree(lam, conj), lam == conj
+    _check_size(k)
+    words = [np.zeros(1, np.int64)]
+    ends = [[1]]  # ends[n][m]: how many partitions of n have largest part <= m
+    for n in range(1, k + 1):
+        below = [words[n - m][: ends[n - m][min(m, n - m)]] for m in range(1, n + 1)]
+        sizes = list(map(len, below))
+        w = np.concatenate(below)
+        top = np.repeat(np.arange(1, n + 1, dtype=np.uint8), sizes)  # the new row's m
+        w |= np.int64(1) << (np.bitwise_count(w) + top)
+        ends.append(list(accumulate(sizes, initial=0)))
+        words.append(w)
+    return words[k]
+
+
+def _prime_fields(k: int) -> list[tuple[int, int, int]]:
+    """(p, offset, width) for each prime p <= k: a bit field wide enough for v_p(k!)."""
+    fields = []
+    offset = 0
+    for p in [2] * (k >= 2) + odd_primes_up_to(k).tolist():
+        width = sum(k // p**i for i in range(1, k.bit_length())).bit_length()
+        fields.append((p, offset, width))
+        offset += width
+    return fields
+
+
+def _packed(n: int, fields) -> int:
+    """n's exponent of each field's prime, written into that field."""
+    key = 0
+    for p, offset, _ in fields:
+        while n % p == 0:
+            n //= p
+            key += 1 << offset
+    return key
+
+
+def _degree_counts(k: int) -> tuple[dict[int, int], dict[int, int]]:
+    """How many partitions of k have each hook degree: all of them, and the self-conjugate ones.
+
+    A hook of length h is a pair of positions x and x + h of the word with no
+    bead at x and a bead at x + h, so the hooks of length h of every word are
+    counted at once by np.bitwise_count(~w & (w >> h)).  A hook product H
+    divides k!, so Σ_h packed(h) · count_h never carries out of a prime's
+    field: it is an exact int64 key for H, and packed(k!) − key is the key of
+    the degree.  Each distinct key is decoded to an int once.  A
+    self-conjugate λ has λ₁ = ℓ(λ), so its top bead sits at 2ℓ − 1; among
+    those, it is the one whose word reversed over 2ℓ bits is its complement.
+    """
+    words = _words(k)
+    fields = _prime_fields(k)
+    packed = {h: _packed(h, fields) for h in range(2, k + 1)}  # hooks of length 1 add nothing
+    key = np.zeros(len(words), np.int64)
+    holes = ~words
+    for h, packed_h in packed.items():
+        key += np.bitwise_count(holes & (words >> h)) * np.int64(packed_h)
+    factorial_key = sum(packed.values())
+
+    rows = np.bitwise_count(words)
+    square = np.flatnonzero((words >> (2 * rows - 1)) == 1)
+    w, bits = words[square], 2 * rows[square].astype(np.int64)
+    reverse = np.zeros_like(w)
+    for x in range(k + 1):
+        reverse |= ((w >> x) & 1) << (k - x)
+    self_conjugate = square[(w ^ (reverse >> (k + 1 - bits))) == (1 << bits) - 1]
+
+    def decode(keys):
+        keys, counts = np.unique(keys, return_counts=True)
+        exponents = factorial_key - keys
+        degrees = np.ones(len(keys), dtype=object)
+        for p, offset, width in fields:
+            powers = np.array([p**e for e in range(1 << width)], dtype=object)
+            degrees *= powers[(exponents >> offset) & ((1 << width) - 1)]
+        return dict(zip(degrees.tolist(), counts.tolist()))
+
+    return decode(key), decode(key[self_conjugate])
 
 
 def sym_degree_census(k: int) -> DegreeCensus:
     """Full degree census of S_k; degree-square sum equals k!."""
-    counts: dict[int, int] = {}
-    for d, self_conjugate in _transpose_pairs(k):
-        counts[d] = counts.get(d, 0) + (1 if self_conjugate else 2)
+    counts, _ = _degree_counts(k)
     census = DegreeCensus.from_counts(counts, max(counts))
     if census.sum_degree_squares() != math.factorial(k):
         raise AssertionError(f"S_{k} census degree-square sum != {k}!")
@@ -135,13 +206,15 @@ def alt_degree_census(k: int) -> DegreeCensus:
     """
     if k < 5:
         raise ValueError(f"alternating census needs k >= 5, got {k}")
-    counts: dict[int, int] = {}
-    for d, self_conjugate in _transpose_pairs(k):
-        if self_conjugate and d % 2:
+    counts, self_conjugate = _degree_counts(k)
+    for d, m in self_conjugate.items():
+        if d % 2:
             raise AssertionError(f"a self-conjugate partition of {k} has odd degree {d}")
-        d, m = (d // 2, 2) if self_conjugate else (d, 1)
-        counts[d] = counts.get(d, 0) + m
-    census = DegreeCensus.from_counts(counts, max(counts))
+        counts[d] -= m
+    alt = {d: m // 2 for d, m in counts.items() if m}  # one irreducible per pair {λ, λ′}
+    for d, m in self_conjugate.items():
+        alt[d // 2] = alt.get(d // 2, 0) + 2 * m
+    census = DegreeCensus.from_counts(alt, max(alt))
     if 2 * census.sum_degree_squares() != math.factorial(k):
         raise AssertionError(f"A_{k} census degree-square sum != {k}!/2")
     return census

@@ -385,13 +385,13 @@ def test_golden_stdout(capsys, argv, stdout):
 ])
 def test_alt_builds_each_census_once(monkeypatch, capsys, argv, walks):
     calls = []
-    walk = symalt._transpose_pairs
+    walk = symalt._degree_counts
 
     def counting(k):
         calls.append(k)
         return walk(k)
 
-    monkeypatch.setattr(symalt, "_transpose_pairs", counting)
+    monkeypatch.setattr(symalt, "_degree_counts", counting)
     assert main(argv.split()) == 0
     assert calls == [12] * walks
 

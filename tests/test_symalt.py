@@ -14,7 +14,9 @@ from repzeta.census import DegreeCensus
 from repzeta.rootsystems import build_root_system
 from repzeta.symalt import (
     MAX_PARTITION_SIZE,
-    _transpose_pairs,
+    _degree_counts,
+    _prime_fields,
+    _words,
     alt_degree_census,
     alt_zeta,
     alt_zeta_exact,
@@ -102,12 +104,42 @@ def test_conjugate_partition_is_the_column_count_involution(k, data):
     assert sum(conj) == sum(lam)
 
 
-def test_transpose_pairs_visit_each_pair_once():
-    sc = _distinct_odd_part_counts(30)
-    for k in range(1, 31):
-        flags = [self_conjugate for _, self_conjugate in _transpose_pairs(k)]
-        assert 2 * len(flags) == PARTITION_COUNTS[k] + sc[k]
-        assert sum(flags) == sc[k]
+def test_self_conjugate_count_is_the_distinct_odd_part_count():
+    sc = _distinct_odd_part_counts(MAX_PARTITION_SIZE)
+    for k in range(1, MAX_PARTITION_SIZE + 1):
+        every, self_conjugate = _degree_counts(k)
+        assert sum(every.values()) == PARTITION_COUNTS[k]
+        assert sum(self_conjugate.values()) == sc[k]
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(1, MAX_PARTITION_SIZE))
+def test_degree_kernel_matches_the_hook_length_formula(k):
+    every, self_conjugate = Counter(), Counter()
+    for lam in _partitions(k):
+        d = hook_degree(lam)
+        every[d] += 1
+        if conjugate_partition(lam) == lam:
+            self_conjugate[d] += 1
+    assert _degree_counts(k) == (dict(every), dict(self_conjugate))
+
+
+def test_packed_keys_and_words_fit_in_int64():
+    for k in range(1, MAX_PARTITION_SIZE + 1):
+        fields = _prime_fields(k)
+        assert [p for p, _, _ in fields] == [p for p in range(2, k + 1)
+                                             if all(p % q for q in range(2, p))]
+        offset = 0
+        for p, start, width in fields:
+            v = 0
+            while math.factorial(k) % p ** (v + 1) == 0:
+                v += 1
+            assert start == offset and v < 1 << width
+            offset += width
+        assert offset <= 62
+        words = _words(k)
+        assert len(set(words.tolist())) == len(words) == PARTITION_COUNTS[k]
+        assert 0 < words.min() and words.max() < 1 << (k + 1)
 
 
 def _count_standard_tableaux(parts):
@@ -172,6 +204,11 @@ def test_alt_census_mass():
 def test_alt_zeta_five_exact():
     assert alt_zeta_exact(5, 1) == Fraction(127, 60)
     assert abs(alt_zeta(5, 1.0) - 127.0 / 60.0) < 1e-14
+
+
+def test_alt_zeta_exact_is_the_fraction_sum():
+    census = alt_degree_census(28)
+    assert census.zeta_exact(2) == sum((Fraction(m, d**2) for d, m in census.items()), Fraction(0))
 
 
 @pytest.mark.parametrize("s", [0.5, -1])
@@ -308,7 +345,9 @@ def test_wreath_conditions_validation():
 
 
 def test_partition_size_guard():
-    with pytest.raises(ValueError):
-        partitions(41)
-    with pytest.raises(ValueError):
-        partitions(0)
+    for build in (partitions, sym_degree_census, alt_degree_census):
+        with pytest.raises(ValueError, match=r"must be in 1\.\.40, got 41"):
+            build(41)
+    for build in (partitions, sym_degree_census):
+        with pytest.raises(ValueError):
+            build(0)
