@@ -13,15 +13,25 @@ lexicographically.
 The group is enumerated directly as the solutions of ad - bc = 1, and a
 build raises unless they number exactly the predicted order, all distinct;
 the group keeps that sorted table.
-Each generator then acts on the sorted elements as an index permutation,
-and one orbit routine takes the connected components of such permutations.
-An image's index is read from a dense table keyed by (a, b, c) when a is a
-unit and by (a, b, d) when it is not; either triple fixes an element of SL2.
-Under left multiplication there must be exactly one component, which
-certifies the generator set: one pair of elementaries per uniformizer power
-is needed, since over the polynomial ring the two classic elementaries only
-generate the subgroup defined over the prime field.  Under conjugation the
-components are the conjugacy classes.
+Left multiplication by each generator acts on the sorted elements as an
+index permutation L_g, and one orbit routine takes the connected components
+of such permutations.  An image's index is read from a dense table keyed by
+(a, b, c) when a is a unit and by (a, b, d) when it is not; either triple
+fixes an element of SL2.  Under the L_g there must be exactly one component,
+which certifies the generator set on every build.
+
+The generators are E12(1), E21(1) and E12(pi), the last one dropped at k = 1.
+The first two generate SL2(F_p) mod pi (over F_p[t]/(t^k) they generate no
+more than that).  For p odd the conjugates of E12(pi) under SL2(F_p) span the
+first layer of the congruence filtration, I + pi X with X in sl2(F_p), and a
+commutator of I + pi X with I + pi^j Y is I + pi^(j+1) [X, Y] modulo
+pi^(j+2); since 2 is a unit, [sl2, sl2] = sl2, so the three generators reach
+every layer and hence the whole group.
+
+Conjugation by g is composed from permutations that were each checked:
+g x g^-1 = L_g(iota(L_g(iota(x)))), where iota is the inversion
+x -> (d, -b, -c, a), so its permutation is L_g[iota[L_g[iota]]], three
+gathers.  The components of these permutations are the conjugacy classes.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ DEFAULT_GROUP_BUDGET = 200_000
 _MAX_TABLE_SIZE = 2048  # the size*size operation tables, and their int32 indices
 
 Matrix = tuple[int, int, int, int]
-_IDENTITY: Matrix = (1, 0, 0, 1)
 
 
 class QuotientRing:
@@ -111,19 +120,24 @@ def _tables(p: int, k: int, flavor: str):
 
 def predicted_order(ring: QuotientRing) -> int:
     """|SL2| over the ring: p^(3k-2) (p^2 - 1)."""
-    p, k = ring.p, ring.k
+    return _sl2_order(ring.p, ring.k)
+
+
+def _sl2_order(p: int, k: int) -> int:
     return p ** (3 * k - 2) * (p * p - 1)
 
 
 @dataclass
 class FiniteMatrixGroup:
     """SL2 over a ring as its sorted table: the int64 matrix codes in increasing
-    order, and the four int32 entry columns (a, b, c, d) in the same order."""
+    order, and the four int32 entry columns (a, b, c, d) in the same order.
+    `left[i]` is the certified index permutation x -> generators[i] x."""
 
     ring: QuotientRing
     generators: tuple[Matrix, ...]
     codes: np.ndarray = field(repr=False)
     cols: tuple[np.ndarray, ...] = field(repr=False)
+    left: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -136,15 +150,21 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
     The elements are the solutions of ad - bc = 1, sorted lexicographically,
     kept as their codes and entry columns.
     The build raises unless they number exactly the predicted order and are
-    distinct, which certifies completeness.  Generators are the upper/lower
-    elementaries with every uniformizer power as off-diagonal entry; left
-    multiplication by them must map the elements onto themselves and leave
-    one orbit, which certifies that they generate the group.
+    distinct, which certifies completeness.  The generators are E12(1),
+    E21(1) and, when k > 1, E12(pi); left multiplication by them must map the
+    elements onto themselves and leave one orbit, which certifies that they
+    generate the group.  The group keeps those left permutations.
     """
     order = predicted_order(ring)
     if order > max_order:
+        k = 0
+        while _sl2_order(ring.p, k + 1) <= max_order:
+            k += 1
+        remedy = (f"the largest level within it at p = {ring.p} is k = {k} "
+                  f"(order {_sl2_order(ring.p, k)})" if k else
+                  f"no level at p = {ring.p} is within it")
         raise BudgetExceededError(
-            f"SL2 over {ring.label()} has order {order}, over the budget of {max_order}"
+            f"SL2 over {ring.label()} has order {order}, over the budget of {max_order}; {remedy}"
         )
     codes, cols = _sl2_elements(ring)
     if len(codes) != order:
@@ -152,14 +172,14 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
             f"enumeration over {ring.label()} found {len(codes)} elements, expected {order}"
         )
     gens = _elementaries(ring)
-    labels = _orbit_labels(ring, cols, [(g, _IDENTITY) for g in gens])
-    cosets = np.unique(labels).size
+    left = _left_permutations(ring, cols, gens)
+    cosets = np.unique(_orbit_labels(left)).size
     if cosets != 1:
         raise AssertionError(
             f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
             "so they do not generate SL2"
         )
-    return FiniteMatrixGroup(ring=ring, generators=gens, codes=codes, cols=cols)
+    return FiniteMatrixGroup(ring=ring, generators=gens, codes=codes, cols=cols, left=left)
 
 
 @dataclass(frozen=True)
@@ -182,21 +202,17 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     least element, and the classes are listed in the order of their
     representatives.
     """
-    ring = group.ring
-    actions = [(g, _inverse(ring, g)) for g in group.generators]
-    labels = _orbit_labels(ring, group.cols, actions)
+    labels = _orbit_labels(_conjugations(group))
     roots, sizes = np.unique(labels, return_counts=True)
     return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in group.cols)),
                             sizes=tuple(sizes.tolist()))
 
 
 def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
-    gens: list[Matrix] = []
-    for j in range(ring.k):
-        u = ring.p**j  # pi^j, in either flavor
-        gens.append((1, u, 0, 1))
-        gens.append((1, 0, u, 1))
-    return tuple(gens)
+    gens: tuple[Matrix, ...] = ((1, 1, 0, 1), (1, 0, 1, 1))
+    if ring.k > 1:
+        gens += ((1, ring.p, 0, 1),)  # E12(pi): pi encodes as p in either flavor
+    return gens
 
 
 def _sl2_elements(ring: QuotientRing):
@@ -231,18 +247,13 @@ def _tuples(cols) -> list[Matrix]:
     return list(zip(*(col.tolist() for col in cols)))
 
 
-def _inverse(ring: QuotientRing, g: Matrix) -> Matrix:
-    a, b, c, d = g
-    return (d, ring.neg(b), ring.neg(c), a)
-
-
-def _image(ring: QuotientRing, g: Matrix, h: Matrix, cols):
-    """Entry columns of g x h for every x: entry (i, j) is the sum of g_ik x_kl h_lj."""
+def _image(ring: QuotientRing, g: Matrix, cols):
+    """Entry columns of g x for every x: entry (i, j) is g_i0 x_0j + g_i1 x_1j."""
     image = []
     for i in (0, 1):
         for j in (0, 1):
-            coefs = (ring.mul(g[2 * i + k], h[2 * l + j]) for k in (0, 1) for l in (0, 1))
-            terms = (x if c == 1 else ring.mul(c, x) for c, x in zip(coefs, cols) if c)
+            pairs = ((g[2 * i + k], cols[2 * k + j]) for k in (0, 1))
+            terms = (x if c == 1 else ring.mul(c, x) for c, x in pairs if c)
             image.append(reduce(ring.add, terms))
     return image
 
@@ -263,21 +274,45 @@ def _keys(ring: QuotientRing, cols):
     return keys
 
 
-def _orbit_labels(ring: QuotientRing, cols, actions):
-    """Least index in each element's orbit under the maps x -> g x h, (g, h) in actions.
-
-    Each map becomes an index permutation of the elements (see
-    `_permutation`), and the orbits are the connected components of those
-    permutations: min-label propagation along each permutation, then pointer
-    jumping, until nothing changes.  One direction suffices, since a
-    permutation's edges lie on its cycles.
-    """
+def _key_table(ring: QuotientRing, cols):
+    """Dense table over the keys below m^3: an element's index at its key, n elsewhere."""
     n = len(cols[0])
     where = np.full(ring.size**3, n, dtype=np.int32)
     where[_keys(ring, cols)] = np.arange(n, dtype=np.int32)
-    # one call per map, so each map's image columns are freed before the next
-    perms = [_permutation(ring, cols, where, g, h) for g, h in actions]
-    labels = np.arange(n, dtype=np.int32)
+    return where
+
+
+def _left_permutations(ring: QuotientRing, cols, generators) -> tuple[np.ndarray, ...]:
+    """Index of g x for every element x, one permutation per generator g."""
+    where = _key_table(ring, cols)
+    # the image is a call argument, so each map's columns are freed before the next
+    return tuple(_permutation(ring, cols, where, _image(ring, g, cols), f"x -> {g} x")
+                 for g in generators)
+
+
+def _inversion(ring: QuotientRing, cols):
+    """Index of x^-1 = (d, -b, -c, a) for every element x."""
+    a, b, c, d = cols
+    return _permutation(ring, cols, _key_table(ring, cols),
+                        (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
+
+
+def _conjugations(group: FiniteMatrixGroup) -> list[np.ndarray]:
+    """Index of g x g^-1 for every element x, one permutation per generator g,
+    composed as L_g[iota[L_g[iota]]] from g x g^-1 = L_g(iota(L_g(iota(x))))."""
+    iota = _inversion(group.ring, group.cols)
+    return [left[iota[left[iota]]] for left in group.left]
+
+
+def _orbit_labels(perms):
+    """Least index in each element's orbit under the index permutations `perms`.
+
+    The orbits are the connected components of the permutations: min-label
+    propagation along each permutation, then pointer jumping, until nothing
+    changes.  One direction suffices, since a permutation's edges lie on its
+    cycles.
+    """
+    labels = np.arange(len(perms[0]), dtype=np.int32)
     while True:
         previous = labels
         for perm in perms:
@@ -288,20 +323,19 @@ def _orbit_labels(ring: QuotientRing, cols, actions):
             return labels
 
 
-def _permutation(ring: QuotientRing, cols, where, g: Matrix, h: Matrix):
-    """Index of g x h for every element x, read from the dense table `where`
-    over the elements' `_keys` (n at a key that no element has).
+def _permutation(ring: QuotientRing, cols, where, image, name: str):
+    """Index of each image element, given as four entry columns, read from
+    the `_key_table` `where` of the elements `cols`.
 
     An image whose key no element has, or whose four entries differ from
     those of the element at its index, raises; the second test also catches
     an image off SL2 whose key is an element's.
     """
     n = len(cols[0])
-    image = _image(ring, g, h, cols)
     idx = where[_keys(ring, image)]
     found = (idx < n).all() and all(np.array_equal(col[idx], x) for col, x in zip(cols, image))
     if not found:
-        raise AssertionError(f"x -> {g} x {h} maps some element outside the set")
+        raise AssertionError(f"{name} maps some element outside the set")
     return idx
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repzeta.finitequotients as fq
+from repzeta.cli import main
 from repzeta.errors import BudgetExceededError
 from repzeta.finitequotients import (
     QuotientRing,
@@ -83,7 +84,7 @@ def test_larger_levels_match_the_closed_form(p, k, flavor):
 
 def _left_orbit_count(ring, generators):
     _, cols = fq._sl2_elements(ring)
-    labels = fq._orbit_labels(ring, cols, [(g, fq._IDENTITY) for g in generators])
+    labels = fq._orbit_labels(fq._left_permutations(ring, cols, generators))
     return len(set(labels.tolist()))
 
 
@@ -103,7 +104,7 @@ def test_orbit_labels_reject_an_image_outside_the_group(flavor):
     keys = set(fq._keys(ring, cols).tolist())
 
     def image_keys(g):
-        return set(fq._keys(ring, fq._image(ring, g, fq._IDENTITY, cols)).tolist())
+        return set(fq._keys(ring, fq._image(ring, g, cols)).tolist())
 
     # diag(2, 1) x has determinant 2, yet every image's key is some element's
     # key, so only comparing all four entries catches it; diag(3, 1) x has a
@@ -112,7 +113,7 @@ def test_orbit_labels_reject_an_image_outside_the_group(flavor):
     assert not image_keys((3, 0, 0, 1)) & keys
     for g in ((2, 0, 0, 1), (3, 0, 0, 1)):
         with pytest.raises(AssertionError, match="maps some element outside the set"):
-            fq._orbit_labels(ring, cols, [(g, fq._IDENTITY)])
+            fq._left_permutations(ring, cols, [g])
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):
@@ -123,6 +124,19 @@ def test_build_rejects_generators_that_do_not_generate(monkeypatch):
     monkeypatch.setattr(fq, "_elementaries", lambda ring: all_elementaries(ring)[:2])
     with pytest.raises(AssertionError, match="27 left orbits"):
         build_sl2_group(QuotientRing(3, 2, "charp"))
+
+
+def _matmul(ring, x, y):
+    """x y for two matrix tuples, entry by entry with the ring's scalar tables."""
+    return tuple(int(ring.add(ring.mul(x[2 * i], y[j]), ring.mul(x[2 * i + 1], y[2 + j])))
+                 for i in (0, 1) for j in (0, 1))
+
+
+def _index_of(group):
+    """Index of a matrix tuple in the group's sorted table, read off its codes."""
+    m = group.ring.size
+    index = {code: i for i, code in enumerate(group.codes.tolist())}
+    return lambda x: index[((x[0] * m + x[1]) * m + x[2]) * m + x[3]]
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
@@ -136,6 +150,47 @@ def test_group_keeps_its_sorted_table(flavor):
     assert (np.diff(group.codes) > 0).all()
     assert np.array_equal(group.codes, ((a * m + b) * m + c) * m + d)
     assert group.order == len(group.codes) == 648
+    assert len(build_sl2_group(QuotientRing(3, 1, flavor)).generators) == 2
+    assert len(group.generators) == len(group.left) == 3
+    index_of = _index_of(group)
+    elements = fq._tuples(group.cols)
+    for g, left in zip(group.generators, group.left):
+        assert np.array_equal(np.sort(left), np.arange(group.order))
+        assert left.tolist() == [index_of(_matmul(ring, g, x)) for x in elements]
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 1)])
+def test_composed_conjugations_match_the_matrix_product(flavor, p, k):
+    # g x g^-1 computed entry by entry on tuples and looked up in the codes,
+    # against the permutations composed from the left and inversion ones.
+    ring = QuotientRing(p, k, flavor)
+    group = build_sl2_group(ring)
+    index_of = _index_of(group)
+    elements = fq._tuples(group.cols)
+    conjugations = fq._conjugations(group)
+    assert len(conjugations) == len(group.generators)
+    for g, perm in zip(group.generators, conjugations):
+        a, b, c, d = g
+        g_inv = (d, int(ring.neg(b)), int(ring.neg(c)), a)
+        assert _matmul(ring, g, g_inv) == (1, 0, 0, 1)
+        assert perm.tolist() == [index_of(_matmul(ring, _matmul(ring, g, x), g_inv))
+                                 for x in elements]
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+def test_inversion_is_an_involution_fixing_only_plus_minus_one(flavor, p, k):
+    # x^2 = 1 with x in SL2 gives x = x^-1, so a = d and b = c = -b; with 2 a
+    # unit, b = c = 0 and a^2 = 1, so x = +-1.
+    ring = QuotientRing(p, k, flavor)
+    group = build_sl2_group(ring)
+    iota = fq._inversion(ring, group.cols)
+    assert np.array_equal(iota[iota], np.arange(group.order))
+    minus_one = int(ring.neg(1))
+    fixed = np.flatnonzero(iota == np.arange(group.order))
+    assert fq._tuples(col[fixed] for col in group.cols) == [(1, 0, 0, 1),
+                                                            (minus_one, 0, 0, minus_one)]
 
 
 def test_ring_flavor_determines_label_but_not_census():
@@ -154,6 +209,15 @@ def test_budget_error_names_predicted_order():
     with pytest.raises(BudgetExceededError) as err:
         build_sl2_group(ring, max_order=100)
     assert "648" in str(err.value)
+
+
+def test_budget_error_names_the_largest_level_within_it(capsys):
+    assert main(["census", "sl2", "--p", "3", "--k", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "order 472392" in err
+    assert "the largest level within it at p = 3 is k = 3 (order 17496)" in err
+    with pytest.raises(BudgetExceededError, match="no level at p = 3 is within it"):
+        build_sl2_group(QuotientRing(3, 1, "char0"), max_order=23)
 
 
 def test_polynomial_ring_arithmetic_and_unit_inverses():
