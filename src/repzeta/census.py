@@ -3,18 +3,26 @@
 A census records, for every degree n <= cap that occurs, how many
 irreducibles have that degree.  The running total R(n) is the count of
 irreducibles of degree at most n, the basic object all the growth estimates
-are built on.
+are built on.  They are built on first use, since a census that only feeds
+a zeta sum never needs them.  The CSV and JSON writers format CHUNK rows per
+% call with one row template repeated, so a large census writes fast and in
+constant extra memory.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterator, Mapping
+
+CHUNK = 4096  # rows the writers format per % call
+
+_CSV_ROW = "%d,%d,%d\r\n"  # as csv.writer writes a row of ints
+_JSON_ENTRY = ',\n    {\n      "cumulative": %d,\n      "degree": %d,\n      "multiplicity": %d\n    }'
 
 
 def check_exact_exponent(s) -> None:
@@ -29,11 +37,11 @@ class DegreeCensus:
     cap: int
     degrees: tuple[int, ...]
     multiplicities: tuple[int, ...]
-    _cumulative: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        # the running totals R(n); frozen, so set past the dataclass __setattr__
-        object.__setattr__(self, "_cumulative", tuple(accumulate(self.multiplicities)))
+    @cached_property
+    def _cumulative(self) -> tuple[int, ...]:
+        """The running totals R(n), built on first use."""
+        return tuple(accumulate(self.multiplicities))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], cap: int) -> "DegreeCensus":
@@ -99,22 +107,29 @@ class DegreeCensus:
             ],
         }
 
+    def _chunks(self, *columns) -> Iterator[tuple[int, tuple]]:
+        """(rows, flat values) for each CHUNK rows of the given columns."""
+        for i in range(0, len(self.degrees), CHUNK):
+            part = [column[i:i + CHUNK] for column in columns]
+            yield len(part[0]), tuple(chain.from_iterable(zip(*part)))
+
     def write_csv(self, path) -> None:
+        """Write the census as csv.writer would, header row first, formatting
+        CHUNK rows per % call."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["degree", "multiplicity", "cumulative"])
-            for (d, m), c in zip(self.items(), self._cumulative):
-                writer.writerow([d, m, c])
+            fh.write("degree,multiplicity,cumulative\r\n")
+            for rows, flat in self._chunks(self.degrees, self.multiplicities, self._cumulative):
+                fh.write((_CSV_ROW * rows) % flat)
 
     def write_json(self, path) -> None:
         """Write to_json_dict() as json.dump(..., indent=2, sort_keys=True)
-        would, plus a newline, one entry at a time: the list of entry dicts is
-        never built, so a large census writes in constant extra memory."""
+        would, plus a newline, CHUNK entries per % call: the list of entry
+        dicts is never built, so a large census writes in constant extra
+        memory."""
         with open(path, "w") as fh:
             fh.write(f'{{\n  "cap": {self.cap},\n  "entries": [')
-            sep = "\n"
-            for (d, m), c in zip(self.items(), self._cumulative):
-                fh.write(f'{sep}    {{\n      "cumulative": {c},\n      "degree": {d},\n'
-                         f'      "multiplicity": {m}\n    }}')
-                sep = ",\n"
+            first = 1  # the first entry drops its leading comma
+            for rows, flat in self._chunks(self._cumulative, self.degrees, self.multiplicities):
+                fh.write(((_JSON_ENTRY * rows) % flat)[first:])
+                first = 0
             fh.write("\n  ]\n}\n" if self.degrees else "]\n}\n")

@@ -5,15 +5,23 @@ irreducibles; enumerating all dominant weights whose Weyl dimension stays
 under a cap gives its census exactly.  Pruning the weight search is sound
 because the dimension is strictly increasing in every weight coordinate.
 
-The census engine walks the first r - 1 weight coordinates with an odometer
-and cuts a prefix as soon as its dimension with the last coordinate t at 0
-exceeds the cap.  For each surviving prefix the largest t within the cap is
-found by doubling t and then bisecting, on exact integer numerators.  Every
-dimension for t = 0..T then comes from one numpy product: the coroot values
-that vary with t, times the product of the constant ones, divided exactly by
-the product of the values at rho.  Every partial product is at most
-cap * rho_product, so the dtype is int64 when that bound is below 2^62 and
-numpy object (Python ints) otherwise, as for E8 and F4 at large caps.
+The census engine fixes the weight coordinates one level at a time.  Its
+frontier is an array of prefixes, each row holding the coroot values of its
+weight with the coordinates not yet fixed at 0; every row is within the cap.
+At coordinate i it finds, for all rows at once, the largest x_i that keeps
+the row within the cap, and expands every row into x_i + 1 rows with
+np.repeat and one arange, each row shifted back by its start so that the
+arange counts x_i within its group.  The search runs in float64 log space,
+sum_j log(v_j + b_j x) against log(cap * rho_product): a closed-form lower
+bracket, Newton steps that cannot overshoot (the sum is concave in x), and
+then exact +-1 steps.  A row is decided by the float sum only when that sum
+is further from the boundary than a stated error bound; any row inside that
+margin is decided by its exact integer product, so every membership
+decision is exact.  The last level builds the exact numerators one coroot
+column at a time and divides them exactly by the product of the values at
+rho.  Every partial product is at most cap * rho_product, so the dtype is
+int64 when that bound is below 2^62 and numpy object (Python ints)
+otherwise, as for E8 and F4 at large caps.
 """
 
 from __future__ import annotations
@@ -30,25 +38,72 @@ from .rootsystems import RootSystem
 DEFAULT_CENSUS_BUDGET = 10_000_000
 ABSCISSA_SAMPLE_POINTS = 32  # geometric sample points over the top decade of the census
 ORDERED_EXP_DEPTH = 60  # largest index b_i in the truncated ordered exponential sums
+_NEWTON_STEPS = 64  # cap on the Newton steps of one level; the exact steps finish the job
 
 
-def _last_within(const: int, linear: list[tuple[int, int]], limit: int) -> int:
-    """Largest t with const * prod(v + b*t) <= limit, given that t = 0 qualifies
-    and some b > 0: double t past the limit, then bisect."""
+def _largest_steps(values, b, limit: int, bound: int) -> np.ndarray:
+    """For each frontier row (its coroot values), the largest x <= bound with
+    prod(values + b*x) <= limit, exactly.  x = 0 qualifies for every row.
 
-    def within(t: int) -> bool:
-        return const * math.prod(v + b * t for v, b in linear) <= limit
+    g(x) = sum_j log(v_j + b_j x) - log(limit) is computed in float64, and
+    every v_j >= 1, so every log is >= 0.  With u = 2^-53: forming v_j + b_j x
+    takes at most 3 roundings, which moves its log by about 3u; numpy's log
+    is within a few ulps, at most 8u times the log; and the float sum of the
+    kappa + 2 terms errs by at most (kappa + 1) u times the sum of their
+    sizes.  For a row whose logs sum to S <= 2 L + 1, with L = log(limit),
+    the total is below 32 kappa u (L + 1) = 2^-48 kappa (L + 1); a row with
+    a larger S has g > L + 1, far beyond its error.  The margin
+    2^-40 kappa (L + 1) keeps a factor of 256 over that bound: a float g
+    beyond it has the sign of the exact g, and a row inside it is decided by
+    its exact integer product.
+    """
+    log_limit = math.log(limit)
+    margin = 2.0**-40 * len(b) * (log_limit + 1.0)
+    on = b > 0  # the coroots that move with x; every level has some
+    slope = b[on].astype(np.float64)
+    vf = values.astype(np.float64)
+    w = vf[:, on]
+    base = np.log(vf[:, ~on]).sum(axis=1) - log_limit
 
-    lo, hi = 0, 1
-    while within(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if within(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    def within(rows, x):
+        gx = base[rows] + np.log(w[rows] + slope * x[:, None]).sum(axis=1)
+        inside = gx < -margin
+        near = np.abs(gx) <= margin
+        if near.any():
+            exact = values[rows[near]].astype(object) + x[near].astype(object)[:, None] * b
+            inside[near] = exact.prod(axis=1) <= limit
+        return inside
+
+    # Closed-form lower bracket.  With r_j = b_j / v_j and D = -g(0), the sum
+    # h(x) = sum log(1 + r_j x) is at most m log(1 + x max r) and at most
+    # x sum r, so both expm1(D/m) / max r and D / sum r have h <= D.  D/m
+    # is held at 600, which keeps the bracket finite and still past any bound.
+    ratio = slope / w
+    gap = -base - np.log(w).sum(axis=1)
+    x = np.maximum(np.expm1(np.minimum(gap / len(slope), 600.0)) / ratio.max(axis=1),
+                   gap / ratio.sum(axis=1))
+    x = np.minimum(x, bound)
+    # Newton on the concave g, started below its root, stays below it; a
+    # row held at the bound stops moving.
+    for _ in range(_NEWTON_STEPS):
+        s = w + slope * x[:, None]
+        step = np.minimum((-base - np.log(s).sum(axis=1)) / (slope / s).sum(axis=1), bound - x)
+        x += step
+        if (step < 0.5).all():
+            break
+    # A root at an integer (a cap equal to a dimension) can come out a
+    # rounding error below it, so nudge it before the floor.  Then exact +-1
+    # steps: each row ends with x within and x + 1 outside or past the bound.
+    x = np.floor(np.maximum(x, 0.0) + 1e-3).astype(np.int64)
+    rows = np.arange(len(x))
+    while rows.size:
+        xr = x[rows]
+        fits, next_fits = within(np.concatenate((rows, rows)),
+                                 np.concatenate((xr, xr + 1))).reshape(2, -1)
+        move = (next_fits & (xr < bound)).astype(np.int64) - ~fits  # +1, -1 or 0
+        x[rows] += move
+        rows = rows[move != 0]
+    return x
 
 
 def dimension_census(
@@ -56,11 +111,11 @@ def dimension_census(
 ) -> DegreeCensus:
     """Census of all irreducible dimensions <= max_dim (complete, exact).
 
-    Walks the first rank - 1 weight coordinates, cutting a prefix as soon as
-    its dimension with the last coordinate at zero exceeds the cap (valid by
-    coordinate monotonicity), and evaluates each surviving prefix along the
-    last coordinate in one exact numpy product.  Raises BudgetExceededError
-    if more than max_entries irreducibles would be recorded.
+    Fixes the weight coordinates one level at a time over a frontier of
+    prefixes (valid by coordinate monotonicity), and builds every dimension
+    of the last level in one exact numpy product per coroot.  Raises
+    BudgetExceededError if more than max_entries irreducibles would be
+    recorded, before the frontier that would hold them is allocated.
     """
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
@@ -69,45 +124,44 @@ def dimension_census(
     rho = rs.rho_product
     limit = max_dim * rho  # dim <= max_dim exactly when its numerator <= limit
     dtype = np.int64 if limit < 2**62 else object
-    heads = [row[:-1] for row in rs.coroot_matrix]
-    slopes = [row[-1] for row in rs.coroot_matrix]
-    prefix = [0] * (rs.rank - 1)
-    chunks = []
-    recorded = 0
-    while True:
-        values = [c + sum(b * x for b, x in zip(head, prefix) if b)
-                  for head, c in zip(heads, rs.rho_values)]
-        if math.prod(values) > limit:
-            # the last nonzero coordinate was just raised: reset it, carry left
-            k = max(i for i, x in enumerate(prefix) if x)
-            prefix[k] = 0
-            if k == 0:
-                break
-            prefix[k - 1] += 1
-            continue
-        const = math.prod(v for v, b in zip(values, slopes) if not b)
-        linear = [(v, b) for v, b in zip(values, slopes) if b]
-        last = _last_within(const, linear, limit)
-        recorded += last + 1
-        if recorded > max_entries:
+    coroots = np.array(rs.coroot_matrix, dtype=np.int64)
+    values = np.array([rs.rho_values], dtype=dtype)  # the frontier: the empty prefix
+    # no row may step past the budget, and x stays exact in float64 and
+    # int64; a frontier of 2^53 rows could not be allocated anyway
+    bound = min(max_entries, 2**53) + 1
+    for i in range(rs.rank):
+        b = coroots[:, i]
+        counts = _largest_steps(values, b, limit, bound) + 1
+        # each row of the expanded frontier is an irreducible within the cap
+        # (its other coordinates at 0), so its size is a lower bound on the
+        # census; the float sum is exact below 2^53 and cannot wrap above it
+        size = counts.sum(dtype=np.float64)
+        if size > max_entries:
             raise BudgetExceededError(
                 f"dimension census for {rs.label()} exceeded budget of "
                 f"{max_entries} irreducibles below {max_dim}"
             )
-        t = np.arange(last + 1, dtype=dtype)
-        num = np.full(last + 1, const, dtype=dtype)
-        for v, b in linear:
-            num *= v + b * t
-        if (num % rho).any():
-            raise AssertionError(
-                f"Weyl dimension formula did not divide exactly along {rs.label()} prefix {prefix}"
-            )
-        chunks.append(num // rho)
-        if not prefix:
-            break
-        prefix[-1] += 1
-    dims, counts = np.unique(np.concatenate(chunks), return_counts=True)
-    del chunks
+        size = int(size)
+        # row r becomes rows start[r] .. start[r] + counts[r] - 1; row k of
+        # those has x = k - start[r], so its values are values[r] - b*start[r] + b*k
+        start = np.cumsum(counts) - counts
+        values = values - start[:, None] * b
+        k = np.arange(size)
+        if i < rs.rank - 1:
+            values = np.repeat(values, counts, axis=0) + k[:, None] * b
+    # the last level, one coroot column at a time
+    on = np.flatnonzero(b)
+    num = np.repeat(values[:, on[0]], counts) + b[on[0]] * k
+    for j in on[1:]:
+        num *= np.repeat(values[:, j], counts) + b[j] * k
+    if len(on) < len(b):  # the coroots that do not move at the last level
+        num *= np.repeat(values[:, b == 0].prod(axis=1), counts)
+    del k, values
+    if (num % rho).any():
+        raise AssertionError(f"Weyl dimension formula did not divide exactly in the {rs.label()} census")
+    num //= rho
+    dims, counts = np.unique(num, return_counts=True)
+    del num
     degrees, mults = dims.tolist(), counts.tolist()
     del dims, counts
     return DegreeCensus(cap=max_dim, degrees=tuple(degrees), multiplicities=tuple(mults))

@@ -1,5 +1,6 @@
 """Dimension censuses, partial zeta sums, and abscissa estimates."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repzeta.census import DegreeCensus
+from repzeta.census import CHUNK, DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsystems import build_root_system, weyl_dim
 from repzeta.witten import (
@@ -36,18 +37,42 @@ def test_a1_census_is_counting():
     assert dict(census.items()) == {n: 1 for n in range(1, 51)}
 
 
-@pytest.mark.parametrize("census", [
+_A1 = build_root_system("A", 1)
+_WRITER_CENSUSES = pytest.mark.parametrize("census", [
     DegreeCensus.from_counts({}, 5),
     DegreeCensus.from_counts({1: 1}, 1),
     DegreeCensus.from_counts({3: 2, 1: 1, 10**20: 7}, 10**21),
     dimension_census(build_root_system("A", 2), 1000),
     dimension_census(build_root_system("E", 8), 10**6),
-], ids=["empty", "one", "wide", "A2", "E8"])
+    # A1 to n has n rows: one short of a chunk, one chunk, and one row past one and two
+    dimension_census(_A1, CHUNK - 1),
+    dimension_census(_A1, CHUNK),
+    dimension_census(_A1, CHUNK + 1),
+    dimension_census(_A1, 2 * CHUNK + 1),
+], ids=["empty", "one", "wide", "A2", "E8", "chunk-1", "chunk", "chunk+1", "2chunk+1"])
+
+
+@_WRITER_CENSUSES
 def test_write_json_streams_the_bytes_of_json_dump(tmp_path, census):
     path = tmp_path / "census.json"
     census.write_json(path)
     expected = json.dumps(census.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert path.read_text() == expected
+
+
+@_WRITER_CENSUSES
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, census):
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["degree", "multiplicity", "cumulative"])
+        total = 0
+        for d, m in census.items():
+            total += m
+            writer.writerow([d, m, total])
+    path = tmp_path / "census.csv"
+    census.write_csv(path)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def _box_scan(rs, max_dim):
@@ -88,7 +113,8 @@ def test_census_matches_box_scan(series, rank):
 @settings(max_examples=30, deadline=None)
 @given(
     group=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-                           ("C", 2), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]),
+                           ("B", 4), ("C", 2), ("C", 3), ("D", 4), ("D", 5), ("G", 2),
+                           ("F", 4), ("E", 6), ("E", 7), ("E", 8)]),
     cap=st.integers(1, 20_000),
 )
 def test_census_matches_box_scan_at_any_cap(group, cap):
@@ -108,6 +134,37 @@ def test_census_on_each_side_of_the_int64_switch(series, rank, cap, fits_int64):
     census = dimension_census(rs, cap)
     assert dict(census.items()) == _box_scan(rs, cap)
     assert all(type(x) is int for x in census.degrees + census.multiplicities)
+
+
+@pytest.mark.parametrize("series,rank,cap,fits_int64", [
+    ("A", 2, 10**6, True), ("D", 4, 10**6, True), ("F", 4, 10**6, False), ("E", 8, 10**6, False),
+])
+def test_census_at_a_dimension_and_one_below_it(series, rank, cap, fits_int64):
+    # a cap equal to a dimension d puts that weight exactly on the boundary
+    # prod(values) = cap * rho_product, where only the exact tie-break decides
+    rs = build_root_system(series, rank)
+    reference = dict(dimension_census(rs, cap).items())
+    dims = [d for d in reference if d > 1][-8:]
+    assert dims
+    for d in dims:
+        assert (d * rs.rho_product < 2**62) == fits_int64  # the census dtype at cap d
+        at = dict(dimension_census(rs, d).items())
+        below = dict(dimension_census(rs, d - 1).items())
+        assert d in at and d not in below
+        assert at == {e: m for e, m in reference.items() if e <= d}
+        assert below == {e: m for e, m in reference.items() if e < d}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_budget_bounds_the_search_at_a_huge_cap(rank):
+    # no row steps past max_entries + 1, so x stays far inside int64 at 10^30
+    with pytest.raises(BudgetExceededError):
+        dimension_census(build_root_system("A", rank), 10**30, max_entries=10)
+
+
+def test_a1_past_the_int64_range_exceeds_the_default_budget():
+    with pytest.raises(BudgetExceededError):
+        dimension_census(_A1, 10**19)
 
 
 def test_census_checks_exact_division():
@@ -139,7 +196,8 @@ def test_budget_rejection():
 
 @pytest.mark.parametrize("series,rank,cap", [("A", 1, 1000), ("A", 2, 10_000)])
 def test_budget_is_the_number_of_irreducibles(series, rank, cap):
-    # A1 is one run along the last coordinate; A2 is one run per prefix
+    # the check at the last level counts the census itself: A1 has only
+    # that level, and A2 has a level of prefixes before it
     rs = build_root_system(series, rank)
     held = dimension_census(rs, cap).total_multiplicity()
     assert dimension_census(rs, cap, max_entries=held).total_multiplicity() == held
