@@ -61,12 +61,7 @@ from .symalt import (
     sym_degree_census,
     wreath_tower_conditions,
 )
-from .witten import (
-    abscissa_estimate,
-    dimension_census,
-    ordered_exp_series_check,
-    zeta_partial,
-)
+from .witten import abscissa_estimate, dimension_census, zeta_partial
 
 __all__ = [
     "AuditError",
@@ -94,7 +89,6 @@ __all__ = [
     "isotropic_abscissa_audit",
     "isotropic_case_bound",
     "log_dim_gap",
-    "ordered_exp_series_check",
     "partitions",
     "perfect_group_count_bound",
     "predicted_order",

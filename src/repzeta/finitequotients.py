@@ -5,20 +5,20 @@ truncated polynomials F_p[t]/(t^k).  Elements are encoded as integers in
 [0, p^k): the residue itself in the first case, the base-p digit string of
 the polynomial in the second (so the uniformizer power pi^j encodes as p^j
 in both, and a is a unit exactly when a % p != 0).  Either ring is its
-addition and multiplication tables over these codes; only filling them
-depends on the flavor.  A matrix (a, b, c, d) encodes as
-((a m + b) m + c) m + d with m = p^k, so sorting codes sorts matrices
-lexicographically.
+addition and multiplication tables over the encoded elements; only filling
+them depends on the flavor.
 
-The group is enumerated directly as the solutions of ad - bc = 1, and a
-build raises unless they number exactly the predicted order, all distinct;
-the group keeps that sorted table.
-Left multiplication by each generator acts on the sorted elements as an
-index permutation L_g, and one orbit routine takes the connected components
-of such permutations.  An image's index is read from a dense table keyed by
-(a, b, c) when a is a unit and by (a, b, d) when it is not; either triple
-fixes an element of SL2.  Under the L_g there must be exactly one component,
-which certifies the generator set on every build.
+A matrix (a, b, c, d) of SL2 has the key (a m + b) m + (c if a is a unit
+else d), with m = p^k, below m^3: with a a unit, (a, b, c) fixes
+d = a^-1 (1 + bc), and with a a nonunit, b is a unit and (a, b, d) fixes c,
+so the key is injective on SL2.  The group is enumerated as the solutions of
+ad - bc = 1, sorted by key, and a build raises unless they number exactly
+the predicted order and their sorted keys strictly increase.  One dense
+table over the keys holds each element's index; from it, left multiplication
+by each generator g acts on the sorted elements as an index permutation L_g,
+and one orbit routine takes the connected components of such permutations.
+Under the L_g there must be exactly one component, which certifies the
+generator set on every build.
 
 The generators are E12(1), E21(1) and E12(pi), the last one dropped at k = 1.
 The first two generate SL2(F_p) mod pi (over F_p[t]/(t^k) they generate no
@@ -30,8 +30,18 @@ every layer and hence the whole group.
 
 Conjugation by g is composed from permutations that were each checked:
 g x g^-1 = L_g(iota(L_g(iota(x)))), where iota is the inversion
-x -> (d, -b, -c, a), so its permutation is L_g[iota[L_g[iota]]], three
-gathers.  The components of these permutations are the conjugacy classes.
+x -> (d, -b, -c, a), read from the same key table, so its permutation is
+L_g[iota[L_g[iota]]], three gathers.  The components of these permutations
+are the conjugacy classes, each represented by its least index.
+
+That element is also the class's lexicographically least.  A class that is
+not scalar mod p holds an element with a = 0: a cyclic vector of x, lifted
+by Nakayama's lemma, conjugates x in GL2 to (0, -1; 1, t), and conjugating
+that by diag(1, u^-1), u the conjugator's determinant, keeps a = 0 and
+brings the conjugator into SL2.  In a class that is scalar mod p, every a
+is +-1 mod p, a unit.  With a = 0, c = -b^-1 is fixed by b; with a a unit,
+d is fixed by (a, b, c).  So on every element that can be least in its
+class, key order is lexicographic.
 """
 
 from __future__ import annotations
@@ -129,31 +139,32 @@ def _sl2_order(p: int, k: int) -> int:
 
 @dataclass
 class FiniteMatrixGroup:
-    """SL2 over a ring as its sorted table: the int64 matrix codes in increasing
-    order, and the four int32 entry columns (a, b, c, d) in the same order.
-    `left[i]` is the certified index permutation x -> generators[i] x."""
+    """SL2 over a ring as its sorted table: the four int32 entry columns
+    (a, b, c, d), in increasing order of the elements' keys.  `left[i]` is
+    the certified index permutation x -> generators[i] x, and `inverse` the
+    one of x -> x^-1."""
 
     ring: QuotientRing
     generators: tuple[Matrix, ...]
-    codes: np.ndarray = field(repr=False)
     cols: tuple[np.ndarray, ...] = field(repr=False)
     left: tuple[np.ndarray, ...] = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        return len(self.cols[0])
 
 
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
     """Enumerate SL2 over the ring and certify its elementary generators.
 
-    The elements are the solutions of ad - bc = 1, sorted lexicographically,
-    kept as their codes and entry columns.
-    The build raises unless they number exactly the predicted order and are
-    distinct, which certifies completeness.  The generators are E12(1),
-    E21(1) and, when k > 1, E12(pi); left multiplication by them must map the
-    elements onto themselves and leave one orbit, which certifies that they
-    generate the group.  The group keeps those left permutations.
+    The elements are the solutions of ad - bc = 1, sorted by key and kept as
+    their entry columns.  The build raises unless they number exactly the
+    predicted order and are distinct, which certifies completeness.  The
+    generators are E12(1), E21(1) and, when k > 1, E12(pi); left
+    multiplication by them must map the elements onto themselves and leave
+    one orbit, which certifies that they generate the group.  One key table
+    gives the group those left permutations and the inversion permutation.
     """
     order = predicted_order(ring)
     if order > max_order:
@@ -166,20 +177,25 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
         raise BudgetExceededError(
             f"SL2 over {ring.label()} has order {order}, over the budget of {max_order}; {remedy}"
         )
-    codes, cols = _sl2_elements(ring)
-    if len(codes) != order:
+    cols = _sl2_elements(ring)
+    if len(cols[0]) != order:
         raise AssertionError(
-            f"enumeration over {ring.label()} found {len(codes)} elements, expected {order}"
+            f"enumeration over {ring.label()} found {len(cols[0])} elements, expected {order}"
         )
     gens = _elementaries(ring)
-    left = _left_permutations(ring, cols, gens)
+    where = _key_table(ring, cols)
+    # each image is a call argument, so its columns are freed before the next is built
+    left = tuple(_permutation(ring, cols, where, _image(ring, g, cols), f"x -> {g} x")
+                 for g in gens)
+    a, b, c, d = cols
+    inverse = _permutation(ring, cols, where, (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
     cosets = np.unique(_orbit_labels(left)).size
     if cosets != 1:
         raise AssertionError(
             f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
             "so they do not generate SL2"
         )
-    return FiniteMatrixGroup(ring=ring, generators=gens, codes=codes, cols=cols, left=left)
+    return FiniteMatrixGroup(ring=ring, generators=gens, cols=cols, left=left, inverse=inverse)
 
 
 @dataclass(frozen=True)
@@ -198,9 +214,9 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """Partition the group into conjugacy classes.
 
     The classes are the orbits of conjugation by the group's generators on
-    its sorted table.  Each class is represented by its lexicographically
-    least element, and the classes are listed in the order of their
-    representatives.
+    its sorted table.  Each class is represented by its least index, which
+    is its lexicographically least element (see the module docstring), and
+    the classes are listed in the order of their representatives.
     """
     labels = _orbit_labels(_conjugations(group))
     roots, sizes = np.unique(labels, return_counts=True)
@@ -216,7 +232,7 @@ def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
 
 
 def _sl2_elements(ring: QuotientRing):
-    """Every solution of ad - bc = 1, as sorted codes and four entry columns.
+    """Every solution of ad - bc = 1, as four entry columns sorted by key.
 
     With a a unit, b and c are free and d = a^-1 (1 + bc).  With a a nonunit,
     b must be a unit, d is free and c = b^-1 (ad - 1).
@@ -231,16 +247,11 @@ def _sl2_elements(ring: QuotientRing):
     a, b, c, d = cols
     if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 1):
         raise AssertionError(f"enumeration over {ring.label()} produced ad - bc != 1")
-    m = ring.size
-    codes = a.astype(np.int64)
-    for col in (b, c, d):
-        codes *= m
-        codes += col
-    by_code = np.argsort(codes)
-    codes = codes[by_code]
-    if np.any(codes[1:] == codes[:-1]):
+    keys = _keys(ring, cols)
+    by_key = np.argsort(keys)
+    if np.any(np.diff(keys[by_key]) <= 0):
         raise AssertionError("the matrices are not distinct")
-    return codes, tuple(col[by_code] for col in cols)
+    return tuple(col[by_key] for col in cols)
 
 
 def _tuples(cols) -> list[Matrix]:
@@ -259,11 +270,8 @@ def _image(ring: QuotientRing, g: Matrix, cols):
 
 
 def _keys(ring: QuotientRing, cols):
-    """(a m + b) m + (c if a is a unit else d), with m = p^k: injective on SL2.
-
-    With a a unit, (a, b, c) fixes d = a^-1 (1 + bc); with a a nonunit, b is
-    a unit and (a, b, d) fixes c.  Every key lies below m^3.
-    """
+    """(a m + b) m + (c if a is a unit else d), with m = p^k: injective on SL2,
+    and below m^3 (see the module docstring)."""
     a, b, c, d = cols
     m = ring.size
     keys = a.astype(np.int64)
@@ -282,25 +290,10 @@ def _key_table(ring: QuotientRing, cols):
     return where
 
 
-def _left_permutations(ring: QuotientRing, cols, generators) -> tuple[np.ndarray, ...]:
-    """Index of g x for every element x, one permutation per generator g."""
-    where = _key_table(ring, cols)
-    # the image is a call argument, so each map's columns are freed before the next
-    return tuple(_permutation(ring, cols, where, _image(ring, g, cols), f"x -> {g} x")
-                 for g in generators)
-
-
-def _inversion(ring: QuotientRing, cols):
-    """Index of x^-1 = (d, -b, -c, a) for every element x."""
-    a, b, c, d = cols
-    return _permutation(ring, cols, _key_table(ring, cols),
-                        (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
-
-
 def _conjugations(group: FiniteMatrixGroup) -> list[np.ndarray]:
     """Index of g x g^-1 for every element x, one permutation per generator g,
     composed as L_g[iota[L_g[iota]]] from g x g^-1 = L_g(iota(L_g(iota(x))))."""
-    iota = _inversion(group.ring, group.cols)
+    iota = group.inverse
     return [left[iota[left[iota]]] for left in group.left]
 
 
@@ -325,7 +318,7 @@ def _orbit_labels(perms):
 
 def _permutation(ring: QuotientRing, cols, where, image, name: str):
     """Index of each image element, given as four entry columns, read from
-    the `_key_table` `where` of the elements `cols`.
+    the group's key table `where` over its sorted elements `cols`.
 
     An image whose key no element has, or whose four entries differ from
     those of the element at its index, raises; the second test also catches

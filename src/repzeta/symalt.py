@@ -252,6 +252,8 @@ def perfect_group_count_bound(census: DegreeCensus, s: float, c: float) -> Perfe
         raise ValueError("count bound needs exactly one degree-1 character (perfect group)")
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     tightest_n = 1
     min_slack = math.inf
     for lo, hi in zip(census.degrees, census.degrees[1:] + (census.cap + 1,)):

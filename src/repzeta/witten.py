@@ -37,7 +37,6 @@ from .rootsystems import RootSystem
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
 ABSCISSA_SAMPLE_POINTS = 32  # geometric sample points over the top decade of the census
-ORDERED_EXP_DEPTH = 60  # largest index b_i in the truncated ordered exponential sums
 _NEWTON_STEPS = 64  # cap on the Newton steps of one level; the exact steps finish the job
 
 
@@ -216,89 +215,3 @@ def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
     r_cap = census.cumulative(n_max)
     raw = math.log(r_cap) / math.log(n_max)
     return AbscissaEstimate(slope=slope, raw_ratio=raw, sample_points=tuple(samples))
-
-
-@dataclass(frozen=True)
-class OrderedExpSeriesReport:
-    """Convergence report for sum over 1 <= b_1 < ... < b_k of exp(sum a_i b_i)."""
-
-    coefficients: tuple[float, ...]
-    suffix_sums: tuple[float, ...]
-    converges: bool
-    closed_form: float | None
-    truncated: float
-
-    @property
-    def agreement_gap(self) -> float | None:
-        if self.closed_form is None:
-            return None
-        return abs(self.truncated - self.closed_form)
-
-
-def _truncated_ordered_exp_sum(coeffs: tuple[float, ...], depth: int) -> float:
-    """Direct evaluation of the series with every index b_i <= depth; inf when
-    the sum overflows a float.
-
-    The recursion runs on logarithms, so an inner partial sum too large for a
-    float can still be cut down by a very negative outer coefficient."""
-    k = len(coeffs)
-    # g[i][b] = log of the partial sum over choices of b_i >= b, ..., b_k, all <= depth
-    nxt = [0.0] * (depth + 2)
-    for i in range(k - 1, -1, -1):
-        cur = [-math.inf] * (depth + 2)
-        for b in range(depth, 0, -1):
-            cur[b] = _log_add(cur[b + 1], coeffs[i] * b + nxt[b + 1])
-        nxt = cur
-    try:
-        return math.exp(nxt[1])
-    except OverflowError:
-        return math.inf
-
-
-def _log_add(x: float, y: float) -> float:
-    """log(e^x + e^y), with -inf for an empty sum."""
-    hi, lo = max(x, y), min(x, y)
-    if lo == -math.inf or hi == math.inf:
-        return hi
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def ordered_exp_series_check(coefficients) -> OrderedExpSeriesReport:
-    """Convergence test for sum_{1<=b_1<...<b_k} exp(a_1 b_1 + ... + a_k b_k).
-
-    The series converges exactly when every suffix sum a_i + ... + a_k is
-    negative, in which case it equals
-
-        prod_{i=1..k} exp(S_i) / (1 - exp(S_i)),   S_i = a_i + ... + a_k,
-
-    with each 1 - exp(S_i) taken as -expm1(S_i), so that a suffix sum near 0
-    keeps its digits.  The truncated sum (every b_i <= ORDERED_EXP_DEPTH) is
-    returned alongside so the closed form can be checked numerically; it is
-    inf when it overflows a float, as a divergent series soon does.
-    """
-    coeffs = tuple(float(a) for a in coefficients)
-    if not coeffs:
-        raise ValueError("need at least one coefficient")
-    if ORDERED_EXP_DEPTH < len(coeffs):
-        raise ValueError(
-            f"depth {ORDERED_EXP_DEPTH} too small for {len(coeffs)} nested indices"
-        )
-    suffix: list[float] = []
-    acc = 0.0
-    for a in reversed(coeffs):
-        acc += a
-        suffix.append(acc)
-    suffix.reverse()
-    converges = all(s < 0 for s in suffix)
-    closed = None
-    if converges:
-        closed = 1.0
-        for s in suffix:  # a factor alone may overflow where the product does not
-            closed = closed * math.exp(s) / -math.expm1(s)
-    return OrderedExpSeriesReport(
-        coefficients=coeffs,
-        suffix_sums=tuple(suffix),
-        converges=converges,
-        closed_form=closed,
-        truncated=_truncated_ordered_exp_sum(coeffs, ORDERED_EXP_DEPTH),
-    )

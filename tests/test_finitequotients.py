@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,9 +84,11 @@ def test_larger_levels_match_the_closed_form(p, k, flavor):
 
 
 def _left_orbit_count(ring, generators):
-    _, cols = fq._sl2_elements(ring)
-    labels = fq._orbit_labels(fq._left_permutations(ring, cols, generators))
-    return len(set(labels.tolist()))
+    cols = fq._sl2_elements(ring)
+    where = fq._key_table(ring, cols)
+    left = [fq._permutation(ring, cols, where, fq._image(ring, g, cols), f"x -> {g} x")
+            for g in generators]
+    return len(set(fq._orbit_labels(left).tolist()))
 
 
 def test_generation_certificate_counts_cosets():
@@ -98,9 +101,9 @@ def test_generation_certificate_counts_cosets():
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
-def test_orbit_labels_reject_an_image_outside_the_group(flavor):
+def test_orbit_labels_reject_an_image_outside_the_group(flavor, monkeypatch):
     ring = QuotientRing(3, 2, flavor)
-    _, cols = fq._sl2_elements(ring)
+    cols = fq._sl2_elements(ring)
     keys = set(fq._keys(ring, cols).tolist())
 
     def image_keys(g):
@@ -112,8 +115,10 @@ def test_orbit_labels_reject_an_image_outside_the_group(flavor):
     assert image_keys((2, 0, 0, 1)) <= keys
     assert not image_keys((3, 0, 0, 1)) & keys
     for g in ((2, 0, 0, 1), (3, 0, 0, 1)):
-        with pytest.raises(AssertionError, match="maps some element outside the set"):
-            fq._left_permutations(ring, cols, [g])
+        monkeypatch.setattr(fq, "_elementaries", lambda ring: (g,))
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"x -> {g} x maps some element outside the set")):
+            build_sl2_group(ring)
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):
@@ -133,10 +138,8 @@ def _matmul(ring, x, y):
 
 
 def _index_of(group):
-    """Index of a matrix tuple in the group's sorted table, read off its codes."""
-    m = group.ring.size
-    index = {code: i for i, code in enumerate(group.codes.tolist())}
-    return lambda x: index[((x[0] * m + x[1]) * m + x[2]) * m + x[3]]
+    """Index of a matrix tuple in the group's sorted table, read off all four entries."""
+    return {x: i for i, x in enumerate(fq._tuples(group.cols))}.__getitem__
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
@@ -146,10 +149,11 @@ def test_group_keeps_its_sorted_table(flavor):
     m = ring.size
     a, b, c, d = (col.astype(np.int64) for col in group.cols)
     assert all(col.dtype == np.int32 for col in group.cols)
-    assert group.codes.dtype == np.int64
-    assert (np.diff(group.codes) > 0).all()
-    assert np.array_equal(group.codes, ((a * m + b) * m + c) * m + d)
-    assert group.order == len(group.codes) == 648
+    keys = fq._keys(ring, group.cols)
+    assert keys.dtype == np.int64
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(keys, (a * m + b) * m + np.where(a % 3 != 0, c, d))
+    assert group.order == len(set(fq._tuples(group.cols))) == 648
     assert len(build_sl2_group(QuotientRing(3, 1, flavor)).generators) == 2
     assert len(group.generators) == len(group.left) == 3
     index_of = _index_of(group)
@@ -162,7 +166,7 @@ def test_group_keeps_its_sorted_table(flavor):
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 1)])
 def test_composed_conjugations_match_the_matrix_product(flavor, p, k):
-    # g x g^-1 computed entry by entry on tuples and looked up in the codes,
+    # g x g^-1 computed entry by entry on tuples and looked up by all four entries,
     # against the permutations composed from the left and inversion ones.
     ring = QuotientRing(p, k, flavor)
     group = build_sl2_group(ring)
@@ -178,6 +182,42 @@ def test_composed_conjugations_match_the_matrix_product(flavor, p, k):
                                  for x in elements]
 
 
+@pytest.mark.parametrize("p,k,flavor", [(3, 2, "char0"), (3, 2, "charp"), (5, 1, "char0"),
+                                         (7, 1, "char0"), (5, 2, "charp"), (3, 3, "char0")])
+def test_representatives_are_least_in_classes_closed_on_tuples(p, k, flavor):
+    # An oracle apart from the key order: each class is closed under
+    # conjugation by the generators with tuple products, and its members are
+    # compared as tuples.  Ordering the unit-a elements by (a, b, d) instead
+    # puts the representatives out of tuple order at (3, 3), not below it.
+    ring = QuotientRing(p, k, flavor)
+    group = build_sl2_group(ring)
+    classes = conjugacy_classes(group)
+    conjugators = [(g, (g[3], int(ring.neg(g[1])), int(ring.neg(g[2])), g[0]))
+                   for g in group.generators]
+    for rep, size in zip(classes.representatives, classes.sizes):
+        members, todo = {rep}, [rep]
+        while todo:
+            x = todo.pop()
+            for g, g_inv in conjugators:
+                y = _matmul(ring, _matmul(ring, g, x), g_inv)
+                if y not in members:
+                    members.add(y)
+                    todo.append(y)
+        assert rep == min(members)
+        assert size == len(members)
+    reps = classes.representatives
+    assert all(x < y for x, y in zip(reps, reps[1:]))
+
+
+def test_one_key_table_per_group(monkeypatch):
+    # The left permutations and the inversion are read from one table.
+    calls = []
+    key_table = fq._key_table
+    monkeypatch.setattr(fq, "_key_table", lambda *args: calls.append(1) or key_table(*args))
+    conjugacy_classes(build_sl2_group(QuotientRing(3, 2, "char0")))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
 def test_inversion_is_an_involution_fixing_only_plus_minus_one(flavor, p, k):
@@ -185,7 +225,7 @@ def test_inversion_is_an_involution_fixing_only_plus_minus_one(flavor, p, k):
     # unit, b = c = 0 and a^2 = 1, so x = +-1.
     ring = QuotientRing(p, k, flavor)
     group = build_sl2_group(ring)
-    iota = fq._inversion(ring, group.cols)
+    iota = group.inverse
     assert np.array_equal(iota[iota], np.arange(group.order))
     minus_one = int(ring.neg(1))
     fixed = np.flatnonzero(iota == np.arange(group.order))

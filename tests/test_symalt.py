@@ -277,6 +277,14 @@ def test_perfect_group_bound_beyond_a_full_scan():
     assert slack(res.tightest_n) == res.min_slack < slack(res.tightest_n - 1)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_perfect_group_bound_rejects_a_constant_that_is_not_finite(c):
+    # every slack against a NaN constant is NaN, and NaN < min_slack is
+    # false, so an unchecked NaN would report holds=True with slack inf
+    with pytest.raises(ValueError, match="c must be finite"):
+        perfect_group_count_bound(alt_degree_census(6), 1.0, c)
+
+
 def test_perfect_group_bound_requires_unique_trivial_character():
     census = sym_degree_census(5)  # two linear characters
     with pytest.raises(ValueError):

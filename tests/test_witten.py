@@ -6,19 +6,13 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repzeta.census import CHUNK, DegreeCensus
 from repzeta.errors import BudgetExceededError
 from repzeta.rootsystems import build_root_system, weyl_dim
-from repzeta.witten import (
-    ORDERED_EXP_DEPTH,
-    abscissa_estimate,
-    dimension_census,
-    ordered_exp_series_check,
-    zeta_partial,
-)
+from repzeta.witten import abscissa_estimate, dimension_census, zeta_partial
 
 
 def test_a2_census_to_ten():
@@ -273,90 +267,3 @@ def test_convergence_above_critical_exponent():
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     assert diffs[1] < diffs[0]
     assert diffs[1] < 0.1
-
-
-def test_ordered_exp_series_single_negative():
-    report = ordered_exp_series_check((-0.5,))
-    assert report.converges
-    expected = math.exp(-0.5) / (1.0 - math.exp(-0.5))
-    assert abs(report.closed_form - expected) < 1e-12
-    assert report.agreement_gap < 1e-9
-
-
-def test_ordered_exp_series_suffix_order_and_divergence():
-    # suffix sums are reported S_1 first: (0.5, -0.5) gives S_1 = 0, S_2 = -0.5
-    report = ordered_exp_series_check((0.5, -0.5))
-    assert abs(report.suffix_sums[0] - 0.0) < 1e-15
-    assert abs(report.suffix_sums[1] + 0.5) < 1e-15
-    assert not report.converges
-
-
-def test_ordered_exp_series_reports_overflowing_divergence():
-    # exp(12 * 60) overflows a float: the truncated sum is inf, not an error
-    report = ordered_exp_series_check((12.0,))
-    assert not report.converges
-    assert report.closed_form is None and report.agreement_gap is None
-    assert report.truncated == math.inf
-
-
-@pytest.mark.parametrize("a", [-1e-9, -1e-17, -1e-300])
-def test_ordered_exp_series_closed_form_near_zero(a):
-    # 1 / (e^|a| - 1) = 1/|a| - 1/2 + O(|a|); 1 - exp(a) rounds to 0 below 1e-16
-    report = ordered_exp_series_check((a,))
-    assert report.converges
-    assert report.closed_form == pytest.approx(1.0 / -a - 0.5, rel=1e-15)
-    assert report.truncated == pytest.approx(60.0, rel=1e-6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=4))
-@example([-2.0, -2.225073858507203e-309])  # a lone factor 4.5e308 overflows, the product does not
-def test_ordered_exp_series_closed_form_matches_mpmath(coefficients):
-    mpmath = pytest.importorskip("mpmath")
-    report = ordered_exp_series_check(coefficients)
-    if not report.converges:
-        assert report.closed_form is None
-        return
-    with mpmath.workdps(50):
-        exact = mpmath.fprod(mpmath.exp(s) / -mpmath.expm1(s) for s in report.suffix_sums)
-        expected = float(exact)
-    assert report.closed_form == pytest.approx(expected, rel=1e-13)
-
-
-def test_ordered_exp_series_truncated_sum_survives_an_overflowing_partial_sum():
-    # The inner sum over (b_2, b_3) reaches e^955 and overflows a float, but
-    # e^(-800 b_1) brings every term below e^155.
-    mpmath = pytest.importorskip("mpmath")
-    coefficients = (-800.0, 5.0, 11.0)
-    report = ordered_exp_series_check(coefficients)
-    assert math.isfinite(report.truncated)
-    with mpmath.workdps(50):  # the same recursion, on 50-digit numbers
-        nxt = [mpmath.mpf(1)] * (ORDERED_EXP_DEPTH + 2)
-        for a in reversed(coefficients):
-            cur = [mpmath.mpf(0)] * (ORDERED_EXP_DEPTH + 2)
-            for b in range(ORDERED_EXP_DEPTH, 0, -1):
-                cur[b] = cur[b + 1] + mpmath.exp(a * b) * nxt[b + 1]
-            nxt = cur
-        expected = float(nxt[1])
-    assert report.truncated == pytest.approx(expected, rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=4))
-@example([-40.0, 6.0, 6.0])  # e^(-40 b_1) underflows where the inner sum overflows
-def test_ordered_exp_series_truncated_sum_is_never_nan(coefficients):
-    assert not math.isnan(ordered_exp_series_check(coefficients).truncated)
-
-
-def test_ordered_exp_series_needs_depth_for_every_index():
-    with pytest.raises(ValueError, match="too small for 61 nested indices"):
-        ordered_exp_series_check((-1.0,) * 61)
-
-
-def test_ordered_exp_series_two_negative_terms():
-    report = ordered_exp_series_check((-1.0, -0.5))
-    assert report.converges
-    s1, s2 = -1.5, -0.5
-    expected = (math.exp(s1) / (1 - math.exp(s1))) * (math.exp(s2) / (1 - math.exp(s2)))
-    assert abs(report.closed_form - expected) < 1e-12
-    assert report.agreement_gap < 1e-9
