@@ -9,16 +9,17 @@ addition and multiplication tables over the encoded elements; only filling
 them depends on the flavor.
 
 A matrix (a, b, c, d) of SL2 has the key (a m + b) m + (c if a is a unit
-else d), with m = p^k, below m^3: with a a unit, (a, b, c) fixes
-d = a^-1 (1 + bc), and with a a nonunit, b is a unit and (a, b, d) fixes c,
-so the key is injective on SL2.  The group is enumerated as the solutions of
-ad - bc = 1, sorted by key, and a build raises unless they number exactly
-the predicted order and their sorted keys strictly increase.  One dense
-table over the keys holds each element's index; from it, left multiplication
-by each generator g acts on the sorted elements as an index permutation L_g,
-and one orbit routine takes the connected components of such permutations.
-Under the L_g there must be exactly one component, which certifies the
-generator set on every build.
+else d), m = p^k: (a, b, c) fixes d = a^-1 (1 + bc) when a is a unit, and
+(a, b, d) fixes c when it is not, as b is then a unit.  So the pairs (a, b)
+not both nonunits, times a free third entry, are the m^3 (1 - 1/p^2) = |SL2|
+keys, enumerated in order.  An element's index is its key less m for each of
+the ceil(a/p) m/p + [p | a] ceil(b/p) nonunit pairs below (a, b).  A build
+raises unless the elements solve ad - bc = 1, number the predicted order and
+have the indices 0, 1, ..., n - 1 (so they are distinct).  Left
+multiplication by each generator g acts on them as an index permutation L_g,
+and one orbit routine takes the connected components of such permutations;
+under the L_g there must be exactly one, which certifies the generator set
+on every build.
 
 The generators are E12(1), E21(1) and E12(pi), the last one dropped at k = 1.
 The first two generate SL2(F_p) mod pi (over F_p[t]/(t^k) they generate no
@@ -30,7 +31,7 @@ every layer and hence the whole group.
 
 Conjugation by g is composed from permutations that were each checked:
 g x g^-1 = L_g(iota(L_g(iota(x)))), where iota is the inversion
-x -> (d, -b, -c, a), read from the same key table, so its permutation is
+x -> (d, -b, -c, a), indexed the same way, so its permutation is
 L_g[iota[L_g[iota]]], three gathers.  The components of these permutations
 are the conjugacy classes, each represented by its least index.
 
@@ -139,10 +140,10 @@ def _sl2_order(p: int, k: int) -> int:
 
 @dataclass
 class FiniteMatrixGroup:
-    """SL2 over a ring as its sorted table: the four int32 entry columns
-    (a, b, c, d), in increasing order of the elements' keys.  `left[i]` is
-    the certified index permutation x -> generators[i] x, and `inverse` the
-    one of x -> x^-1."""
+    """SL2 over a ring as its table: the four int32 entry columns (a, b, c, d),
+    in key order, so an element's row is its index.  `left[i]` is the
+    certified int32 index permutation x -> generators[i] x, and `inverse`
+    the one of x -> x^-1."""
 
     ring: QuotientRing
     generators: tuple[Matrix, ...]
@@ -158,13 +159,13 @@ class FiniteMatrixGroup:
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
     """Enumerate SL2 over the ring and certify its elementary generators.
 
-    The elements are the solutions of ad - bc = 1, sorted by key and kept as
-    their entry columns.  The build raises unless they number exactly the
+    The elements are the solutions of ad - bc = 1, enumerated in key order
+    as their entry columns.  The build raises unless they number exactly the
     predicted order and are distinct, which certifies completeness.  The
     generators are E12(1), E21(1) and, when k > 1, E12(pi); left
     multiplication by them must map the elements onto themselves and leave
-    one orbit, which certifies that they generate the group.  One key table
-    gives the group those left permutations and the inversion permutation.
+    one orbit, which certifies that they generate the group.  Each image's
+    index, in those and in the inversion permutation, is read off its entries.
     """
     order = predicted_order(ring)
     if order > max_order:
@@ -183,12 +184,10 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
             f"enumeration over {ring.label()} found {len(cols[0])} elements, expected {order}"
         )
     gens = _elementaries(ring)
-    where = _key_table(ring, cols)
     # each image is a call argument, so its columns are freed before the next is built
-    left = tuple(_permutation(ring, cols, where, _image(ring, g, cols), f"x -> {g} x")
-                 for g in gens)
+    left = tuple(_permutation(ring, cols, _image(ring, g, cols), f"x -> {g} x") for g in gens)
     a, b, c, d = cols
-    inverse = _permutation(ring, cols, where, (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
+    inverse = _permutation(ring, cols, (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
     cosets = np.unique(_orbit_labels(left)).size
     if cosets != 1:
         raise AssertionError(
@@ -214,7 +213,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """Partition the group into conjugacy classes.
 
     The classes are the orbits of conjugation by the group's generators on
-    its sorted table.  Each class is represented by its least index, which
+    its table.  Each class is represented by its least index, which
     is its lexicographically least element (see the module docstring), and
     the classes are listed in the order of their representatives.
     """
@@ -232,26 +231,25 @@ def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
 
 
 def _sl2_elements(ring: QuotientRing):
-    """Every solution of ad - bc = 1, as four entry columns sorted by key.
+    """Every solution of ad - bc = 1, as four entry columns in key order.
 
-    With a a unit, b and c are free and d = a^-1 (1 + bc).  With a a nonunit,
-    b must be a unit, d is free and c = b^-1 (ad - 1).
+    The pairs (a, b) that are not both nonunits, in order, each with t over
+    the ring.  With a a unit, c = t and d = a^-1 (1 + bc); with a a nonunit,
+    b is a unit, d = t and c = b^-1 (ad - 1).
     """
     r = np.arange(ring.size, dtype=np.int32)
-    units, nonunits = r[r % ring.p != 0], r[r % ring.p == 0]
-    a1, b1, c1 = (x.ravel() for x in np.meshgrid(units, r, r, indexing="ij"))
-    d1 = ring.mul(ring.inv(a1), ring.add(1, ring.mul(b1, c1)))
-    a2, b2, d2 = (x.ravel() for x in np.meshgrid(nonunits, units, r, indexing="ij"))
-    c2 = ring.mul(ring.inv(b2), ring.add(ring.mul(a2, d2), ring.neg(1)))
-    cols = tuple(np.concatenate(pair) for pair in ((a1, a2), (b1, b2), (c1, c2), (d1, d2)))
-    a, b, c, d = cols
+    a, b = (x.ravel() for x in np.meshgrid(r, r, indexing="ij"))
+    pairs = (a % ring.p != 0) | (b % ring.p != 0)
+    a, b = (np.repeat(x[pairs], ring.size) for x in (a, b))
+    t = np.tile(r, np.count_nonzero(pairs))
+    unit = a % ring.p != 0
+    c = np.where(unit, t, ring.mul(ring.inv(b), ring.add(ring.mul(a, t), ring.neg(1))))
+    d = np.where(unit, ring.mul(ring.inv(a), ring.add(1, ring.mul(b, t))), t)
     if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 1):
         raise AssertionError(f"enumeration over {ring.label()} produced ad - bc != 1")
-    keys = _keys(ring, cols)
-    by_key = np.argsort(keys)
-    if np.any(np.diff(keys[by_key]) <= 0):
-        raise AssertionError("the matrices are not distinct")
-    return tuple(col[by_key] for col in cols)
+    if not np.array_equal(_index(ring, (a, b, c, d)), np.arange(len(a))):
+        raise AssertionError(f"enumeration over {ring.label()} is not in index order")
+    return a, b, c, d
 
 
 def _tuples(cols) -> list[Matrix]:
@@ -269,25 +267,18 @@ def _image(ring: QuotientRing, g: Matrix, cols):
     return image
 
 
-def _keys(ring: QuotientRing, cols):
-    """(a m + b) m + (c if a is a unit else d), with m = p^k: injective on SL2,
-    and below m^3 (see the module docstring)."""
+def _index(ring: QuotientRing, cols):
+    """Index in the enumeration, as int64, of each element given as four entry
+    columns: its key less m = p^k for each pair of nonunits below (a, b) (see
+    the module docstring).  Off SL2 it may be out of range or another's."""
     a, b, c, d = cols
-    m = ring.size
-    keys = a.astype(np.int64)
-    keys *= m
-    keys += b
-    keys *= m
-    keys += np.where(a % ring.p != 0, c, d)
-    return keys
-
-
-def _key_table(ring: QuotientRing, cols):
-    """Dense table over the keys below m^3: an element's index at its key, n elsewhere."""
-    n = len(cols[0])
-    where = np.full(ring.size**3, n, dtype=np.int32)
-    where[_keys(ring, cols)] = np.arange(n, dtype=np.int32)
-    return where
+    p, m = ring.p, ring.size
+    unit = a % p != 0
+    index = a.astype(np.int64) * m + b
+    index -= (a + p - 1) // p * (m // p) + np.where(unit, 0, (b + p - 1) // p)
+    index *= m
+    index += np.where(unit, c, d)
+    return index
 
 
 def _conjugations(group: FiniteMatrixGroup) -> list[np.ndarray]:
@@ -316,20 +307,20 @@ def _orbit_labels(perms):
             return labels
 
 
-def _permutation(ring: QuotientRing, cols, where, image, name: str):
-    """Index of each image element, given as four entry columns, read from
-    the group's key table `where` over its sorted elements `cols`.
+def _permutation(ring: QuotientRing, cols, image, name: str):
+    """Index, as int32, of each image element, given as four entry columns,
+    among the group's elements `cols`.
 
-    An image whose key no element has, or whose four entries differ from
-    those of the element at its index, raises; the second test also catches
-    an image off SL2 whose key is an element's.
+    An image whose index is out of range, or whose four entries differ from
+    those of the element at its index, raises; the second test catches an
+    image off SL2, whose index may be an element's.
     """
     n = len(cols[0])
-    idx = where[_keys(ring, image)]
+    idx = _index(ring, image)
     found = (idx < n).all() and all(np.array_equal(col[idx], x) for col, x in zip(cols, image))
     if not found:
         raise AssertionError(f"{name} maps some element outside the set")
-    return idx
+    return idx.astype(np.int32)
 
 
 def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:

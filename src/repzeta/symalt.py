@@ -19,6 +19,7 @@ is tested against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -250,8 +251,8 @@ def perfect_group_count_bound(census: DegreeCensus, s: float, c: float) -> Perfe
     """
     if census.cumulative(1) != 1:
         raise ValueError("count bound needs exactly one degree-1 character (perfect group)")
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError(f"s must be finite and positive, got {s}")
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     tightest_n = 1
@@ -291,15 +292,25 @@ def sym_alt_count_inequality(k: int) -> bool:
     return index_two_count_inequality(sym_degree_census(k), alt_degree_census(k))
 
 
+def _layer_sizes(ells, level: int) -> tuple[int, ...]:
+    """The layer sizes as ints; ValueError unless all are integers and those
+    up to tower level `level` exist and are >= 5."""
+    try:
+        ells = tuple(map(operator.index, ells))
+    except TypeError:
+        raise ValueError(f"layer sizes must be integers, got {ells!r}") from None
+    if not 0 <= level < len(ells):
+        raise ValueError(f"tower level {level} out of range for {len(ells)} layer sizes")
+    if any(v < 5 for v in ells[: level + 1]):
+        raise ValueError("layer sizes must all be >= 5")
+    return ells
+
+
 def wreath_log_order(ells, j: int) -> float:
     """log |W_j| for the tower W_0 = A_{l_0}, W_j = (A_{l_j})^(L_{j-1}) wr-ext W_{j-1},
     where L_{j-1} = l_0 * ... * l_{j-1}; each layer multiplies the order by
     (l_j! / 2)^(L_{j-1}).  Computed in log space via lgamma."""
-    ells = tuple(int(v) for v in ells)
-    if j < 0 or j >= len(ells):
-        raise ValueError(f"tower level {j} out of range for {len(ells)} layer sizes")
-    if any(v < 5 for v in ells[: j + 1]):
-        raise ValueError("layer sizes must all be >= 5")
+    ells = _layer_sizes(ells, j)
     log_order = math.lgamma(ells[0] + 1) - math.log(2)
     big_l = ells[0]
     for i in range(1, j + 1):
@@ -332,13 +343,9 @@ def wreath_tower_conditions(ells, r: int) -> WreathConditionsReport:
     small enough to enumerate partitions (l_r <= 40); otherwise reported as
     not verifiable at desk scale.
     """
-    ells = tuple(int(v) for v in ells)
     if r < 1:
         raise ValueError(f"tower level r must be >= 1, got {r}")
-    if len(ells) < r + 1:
-        raise ValueError(f"need at least {r + 1} layer sizes, got {len(ells)}")
-    if any(v < 5 for v in ells[: r + 1]):
-        raise ValueError("layer sizes must all be >= 5")
+    ells = _layer_sizes(ells, r)
     log_prev = wreath_log_order(ells, r - 1)
     big_l = 1
     for v in ells[:r]:

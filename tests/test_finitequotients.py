@@ -53,8 +53,8 @@ def test_identity_is_a_singleton_class():
 
 
 # SHA-256 of the class CSV that `census sl2 --out` writes.  (3, 4), of order
-# 472,392, is over the CLI budget; its digests were recorded before the orbit
-# permutations switched from a binary search to a dense key table.
+# 472,392, is over the CLI budget; its digests were recorded while the orbit
+# permutations still came from a binary search over sorted matrix codes.
 LARGER_LEVEL_CSV_SHA256 = {
     (7, 2, "char0"): "5eafb6011c90558b3d4994187bad7f7c6da607cc8cc5427dab430a889c3a292e",
     (7, 2, "charp"): "8b10f3984762f7a88adb43ee642bfbcdf5565dc7f5dae68a7d1c77eac704fa6f",
@@ -85,8 +85,7 @@ def test_larger_levels_match_the_closed_form(p, k, flavor):
 
 def _left_orbit_count(ring, generators):
     cols = fq._sl2_elements(ring)
-    where = fq._key_table(ring, cols)
-    left = [fq._permutation(ring, cols, where, fq._image(ring, g, cols), f"x -> {g} x")
+    left = [fq._permutation(ring, cols, fq._image(ring, g, cols), f"x -> {g} x")
             for g in generators]
     return len(set(fq._orbit_labels(left).tolist()))
 
@@ -104,16 +103,20 @@ def test_generation_certificate_counts_cosets():
 def test_orbit_labels_reject_an_image_outside_the_group(flavor, monkeypatch):
     ring = QuotientRing(3, 2, flavor)
     cols = fq._sl2_elements(ring)
-    keys = set(fq._keys(ring, cols).tolist())
-
-    def image_keys(g):
-        return set(fq._keys(ring, fq._image(ring, g, cols)).tolist())
-
-    # diag(2, 1) x has determinant 2, yet every image's key is some element's
-    # key, so only comparing all four entries catches it; diag(3, 1) x has a
-    # and b nonunits, a key that no element has.
-    assert image_keys((2, 0, 0, 1)) <= keys
-    assert not image_keys((3, 0, 0, 1)) & keys
+    n = len(cols[0])
+    # diag(2, 1) x has a valid pair (2a, 2b) and determinant 2; diag(3, 1) x
+    # has a and b nonunits, and its closed-form index lands on an element of
+    # another pair.  Every index is in range, so only comparing all four
+    # entries catches either.
+    a, b, c, d = image = fq._image(ring, (2, 0, 0, 1), cols)
+    assert ((a % 3 != 0) | (b % 3 != 0)).all()
+    assert (ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 2).all()
+    assert (fq._index(ring, image) < n).all()
+    a, b, _, _ = image = fq._image(ring, (3, 0, 0, 1), cols)
+    assert ((a % 3 == 0) & (b % 3 == 0)).all()
+    idx = fq._index(ring, image)
+    assert (idx < n).all()
+    assert ((cols[0][idx] != a) | (cols[1][idx] != b)).all()
     for g in ((2, 0, 0, 1), (3, 0, 0, 1)):
         monkeypatch.setattr(fq, "_elementaries", lambda ring: (g,))
         with pytest.raises(AssertionError,
@@ -142,6 +145,36 @@ def _index_of(group):
     return {x: i for i, x in enumerate(fq._tuples(group.cols))}.__getitem__
 
 
+def _sl2_by_scan(ring):
+    """Every solution of ad - bc = 1, found by scanning all four entries, as
+    four entry columns ordered by (a, b, c if a is a unit else d)."""
+    r = np.arange(ring.size, dtype=np.int32)
+    b, c, d = (x.ravel() for x in np.meshgrid(r, r, r, indexing="ij"))
+    found = []
+    for a in range(ring.size):
+        solves = ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 1
+        found.append((np.full(np.count_nonzero(solves), a, dtype=np.int32),
+                      b[solves], c[solves], d[solves]))
+    a, b, c, d = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((np.where(a % ring.p != 0, c, d), b, a))
+    return tuple(col[order] for col in (a, b, c, d))
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 1), (43, 1), (5, 2)])
+def test_index_inverts_the_enumeration(flavor, p, k):
+    # The enumeration is SL2 in key order, and the closed-form index of its
+    # i-th element is i.
+    ring = QuotientRing(p, k, flavor)
+    cols = fq._sl2_elements(ring)
+    reference = _sl2_by_scan(ring)
+    assert len(cols[0]) == predicted_order(ring)
+    assert all(np.array_equal(col, ref) for col, ref in zip(cols, reference))
+    index = fq._index(ring, cols)
+    assert index.dtype == np.int64
+    assert np.array_equal(index, np.arange(predicted_order(ring)))
+
+
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
 def test_group_keeps_its_sorted_table(flavor):
     ring = QuotientRing(3, 2, flavor)
@@ -149,11 +182,11 @@ def test_group_keeps_its_sorted_table(flavor):
     m = ring.size
     a, b, c, d = (col.astype(np.int64) for col in group.cols)
     assert all(col.dtype == np.int32 for col in group.cols)
-    keys = fq._keys(ring, group.cols)
-    assert keys.dtype == np.int64
+    keys = (a * m + b) * m + np.where(a % 3 != 0, c, d)
     assert (np.diff(keys) > 0).all()
-    assert np.array_equal(keys, (a * m + b) * m + np.where(a % 3 != 0, c, d))
+    assert np.array_equal(fq._index(ring, group.cols), np.arange(group.order))
     assert group.order == len(set(fq._tuples(group.cols))) == 648
+    assert all(perm.dtype == np.int32 for perm in (*group.left, group.inverse))
     assert len(build_sl2_group(QuotientRing(3, 1, flavor)).generators) == 2
     assert len(group.generators) == len(group.left) == 3
     index_of = _index_of(group)
@@ -207,15 +240,6 @@ def test_representatives_are_least_in_classes_closed_on_tuples(p, k, flavor):
         assert size == len(members)
     reps = classes.representatives
     assert all(x < y for x, y in zip(reps, reps[1:]))
-
-
-def test_one_key_table_per_group(monkeypatch):
-    # The left permutations and the inversion are read from one table.
-    calls = []
-    key_table = fq._key_table
-    monkeypatch.setattr(fq, "_key_table", lambda *args: calls.append(1) or key_table(*args))
-    conjugacy_classes(build_sl2_group(QuotientRing(3, 2, "char0")))
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])

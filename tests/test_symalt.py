@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from repzeta.symalt import (
     alt_zeta_exact,
     conjugate_partition,
     hook_degree,
+    index_two_count_inequality,
     partitions,
     perfect_group_count_bound,
     sym_alt_count_inequality,
@@ -285,6 +287,17 @@ def test_perfect_group_bound_rejects_a_constant_that_is_not_finite(c):
         perfect_group_count_bound(alt_degree_census(6), 1.0, c)
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_perfect_group_bound_rejects_an_exponent_that_is_not_finite(s):
+    # with c = 0, 0 * n**inf is NaN for n >= 2, and NaN < min_slack is false,
+    # so an unchecked s = inf would report holds=True where s = 1 fails at n = 10
+    census = alt_degree_census(6)
+    res = perfect_group_count_bound(census, 1.0, 0.0)
+    assert (res.holds, res.tightest_n, res.min_slack) == (False, 10, -6.0)
+    with pytest.raises(ValueError, match="s must be finite and positive"):
+        perfect_group_count_bound(census, s, 0.0)
+
+
 def test_perfect_group_bound_requires_unique_trivial_character():
     census = sym_degree_census(5)  # two linear characters
     with pytest.raises(ValueError):
@@ -294,6 +307,14 @@ def test_perfect_group_bound_requires_unique_trivial_character():
 def test_index_two_count_inequalities():
     for k in range(5, 11):
         assert sym_alt_count_inequality(k)
+
+
+def test_index_two_count_inequality_fails_on_unrelated_censuses():
+    # S_5 has 7 characters in all, and A_12 has 15 of degree at most 891, so
+    # R_891(A_12) <= 2 R_1782(S_5) = 14 fails
+    sym, alt = sym_degree_census(5), alt_degree_census(12)
+    assert (alt.cumulative(891), sym.cumulative(1782)) == (15, 7)
+    assert not index_two_count_inequality(sym, alt)
 
 
 @pytest.mark.parametrize("build", [
@@ -350,6 +371,25 @@ def test_wreath_conditions_validation():
         wreath_tower_conditions((5, 4), 1)
     with pytest.raises(ValueError):
         wreath_tower_conditions((5, 6), 0)
+    with pytest.raises(ValueError):
+        wreath_log_order((5, 6), -1)
+    with pytest.raises(ValueError):
+        wreath_log_order((5,), 1)
+
+
+@pytest.mark.parametrize("ells", [(5.9, 6.7), ("7", 5), (5, 6.0)], ids=["floats", "str", "float"])
+def test_wreath_layer_sizes_must_be_integers(ells):
+    # int() would truncate 5.9 to 5 and parse "7"; both functions refuse instead
+    with pytest.raises(ValueError, match="layer sizes must be integers"):
+        wreath_log_order(ells, 1)
+    with pytest.raises(ValueError, match="layer sizes must be integers"):
+        wreath_tower_conditions(ells, 1)
+
+
+def test_wreath_layer_sizes_accept_integer_types():
+    sizes = (np.int64(5), 30)
+    assert wreath_log_order(sizes, 1) == wreath_log_order((5, 30), 1)
+    assert wreath_tower_conditions(sizes, 1) == wreath_tower_conditions((5, 30), 1)
 
 
 def test_partition_size_guard():
