@@ -71,12 +71,12 @@ def _class_growth(case: IsotropicCase) -> tuple[Fraction, int, list[tuple[str, i
             raise ValueError("case 'a' needs parameters m and d")
         md = case.m * case.d
         return slm_class_growth_bound(case.m, case.d), md * md - 1, [("A", md - 1)]
+    if lab not in _FAMILIES:
+        raise ValueError(f"unknown isotropic case label {lab!r}")
     if case.x is None:
         raise ValueError(f"case {lab!r} needs parameter x")
     if case.x < 1:
         raise ValueError(f"index x must be >= 1, got {case.x}")
-    if lab not in _FAMILIES:
-        raise ValueError(f"unknown isotropic case label {lab!r}")
     return _FAMILIES[lab](case.x)
 
 

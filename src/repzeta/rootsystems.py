@@ -9,12 +9,19 @@ a = (a_1, ..., a_r) in the fundamental-weight basis,
 
 where row j of B lists the simple-coroot coefficients of the j-th positive
 coroot and c[j] is its row sum (the coroot evaluated at the Weyl vector).
+
+The threshold chain comes from one exact elimination over the coroots in
+ascending value at weight + rho.  The coroots below any threshold span what
+their basis vectors span, so each coroot enters the span with the last basis
+vector its reduction uses, or with its own value if it adds one.  Whether a
+value v lies below e^j is decided exactly, as j > floor(ln v).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -102,9 +109,12 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
 def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     """Positive roots (simple-root coordinates) by reflection closure.
 
-    Every root is a Weyl image of a simple root, so closing the simple roots
-    under the simple reflections s_i(b) = b - <b, alpha_i-coroot> alpha_i
-    reaches all of them.
+    A positive root b of height above 1 pairs positively with some simple
+    coroot, as (b, b) > 0 is a non-negative sum of the (b, alpha_i).  Then
+    s_i(b) = b - <b, alpha_i-coroot> alpha_i is a positive root of smaller
+    height, so every positive root is reached from a simple root through
+    positive roots alone.  The closure keeps only the non-negative images:
+    s_i maps every positive root but alpha_i to a positive root.
     """
     r = len(cartan)
     cols = [tuple(cartan[k][i] for k in range(r)) for i in range(r)]
@@ -116,18 +126,12 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
         for root in frontier:
             for i in range(r):
                 pairing = sum(c * col for c, col in zip(root, cols[i]) if c)
-                if pairing == 0:
-                    continue
-                image = list(root)
-                image[i] -= pairing
-                timage = tuple(image)
-                if timage not in seen:
-                    seen.add(timage)
-                    nxt.append(timage)
+                image = root[:i] + (root[i] - pairing,) + root[i + 1:]
+                if min(image) >= 0 and image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
         frontier = nxt
-    positive = [root for root in seen if min(root) >= 0]
-    positive.sort(key=lambda t: (sum(t), t))
-    return positive
+    return sorted(seen, key=lambda t: (sum(t), t))
 
 
 @dataclass(frozen=True)
@@ -174,16 +178,13 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     c = tuple(sum(row) for row in rows)
     if max(c) != h - 1:
         raise AssertionError(f"highest coroot height {max(c)} != h-1 for {series}{rank}")
-    prod = 1
-    for v in c:
-        prod *= v
     return RootSystem(
         series=series,
         rank=rank,
         coroot_matrix=tuple(rows),
         rho_values=c,
         coxeter=h,
-        rho_product=prod,
+        rho_product=math.prod(c),
     )
 
 
@@ -222,26 +223,23 @@ def witten_abscissa(rs: RootSystem) -> Fraction:
     return Fraction(rs.rank, rs.kappa)
 
 
-def _reduce(row, basis: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
-    """What is left of row (exact rationals) after elimination against the
-    echelon basis, stored as (pivot, row) pairs; zero iff row is in its span."""
-    vec = [Fraction(x) for x in row]
-    for p, b in basis:
-        if vec[p]:
-            coef = vec[p] / b[p]
-            vec = [v - coef * bv for v, bv in zip(vec, b)]
-    return vec
+def _entry_index(v: int) -> int:
+    """The least j >= 1 with v < e^j, that is 1 + floor(ln v), for an int v >= 1.
 
-
-def _echelon_basis(rows) -> list[tuple[int, list[Fraction]]]:
-    """Echelon basis of the span of the given rows, as (pivot, row) pairs."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        vec = _reduce(row, basis)
-        p = next((i for i, v in enumerate(vec) if v), None)
-        if p is not None:
-            basis.append((p, vec))
-    return basis
+    decimal's ln is correctly rounded, so ln v lies strictly between the
+    neighbours of the result; when both have one floor, ln v has it too.
+    ln v is irrational for v >= 2, so doubling the precision ends.
+    """
+    if v == 1:
+        return 1
+    prec = 20
+    while True:
+        ctx = Context(prec=prec)
+        x = Decimal(v).ln(ctx)
+        floor = math.floor(x.next_minus(ctx))
+        if floor == math.floor(x.next_plus(ctx)):
+            return floor + 1
+        prec *= 2
 
 
 def threshold_subsystem_chain(rs: RootSystem, weight) -> list[tuple[int, int]]:
@@ -253,24 +251,22 @@ def threshold_subsystem_chain(rs: RootSystem, weight) -> list[tuple[int, int]]:
     span has swallowed the whole system.
     """
     values = coroot_values(rs, weight)
-    rows = rs.coroot_matrix
-    kappa = rs.kappa
-    chain: list[tuple[int, int]] = []
-    j = 1
-    while True:
-        threshold = math.exp(j)
-        members = [rows[i] for i, v in enumerate(values) if v < threshold]
-        if len(members) == kappa:
-            size = kappa
-        elif not members:
-            size = 0
-        else:
-            basis = _echelon_basis(members)
-            size = sum(1 for row in rows if not any(_reduce(row, basis)))
-        chain.append((j, size))
-        if size == kappa:
-            return chain
-        j += 1
+    basis: list[tuple[int, list[Fraction], int]] = []  # (pivot, row, entry index)
+    entries = []
+    for i in sorted(range(rs.kappa), key=values.__getitem__):
+        vec = [Fraction(x) for x in rs.coroot_matrix[i]]
+        entry = 0
+        for p, b, e in basis:
+            if vec[p]:
+                coef = vec[p] / b[p]
+                vec = [v - coef * bv for v, bv in zip(vec, b)]
+                entry = e
+        pivot = next((k for k, v in enumerate(vec) if v), None)
+        if pivot is not None:
+            entry = _entry_index(values[i])
+            basis.append((pivot, vec, entry))
+        entries.append(entry)
+    return [(j, sum(e <= j for e in entries)) for j in range(1, max(entries) + 1)]
 
 
 def log_dim_gap(rs: RootSystem, weight) -> float:

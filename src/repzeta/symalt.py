@@ -74,8 +74,12 @@ def partitions(k: int) -> list[tuple[int, ...]]:
 
 
 def _check_partition(parts) -> tuple[int, ...]:
-    """parts as a tuple, or ValueError unless they are weakly decreasing and positive."""
-    t = tuple(parts)
+    """parts as a tuple of ints, or ValueError unless they are integers, weakly
+    decreasing and positive."""
+    try:
+        t = tuple(map(operator.index, parts))
+    except TypeError:
+        t = ()  # not integers: refused below, as the empty tuple is
     if not t or t[-1] < 1 or any(a < b for a, b in zip(t, t[1:])):
         raise ValueError(f"not a partition (weakly decreasing positive parts): {parts!r}")
     return t

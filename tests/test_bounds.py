@@ -73,6 +73,10 @@ def test_unknown_family_and_missing_parameters_are_refused():
                  IsotropicCase("a", m=3)):
         with pytest.raises(ValueError):
             isotropic_case_bound(case)
+    # the label is checked before the parameters it would need
+    for case in (IsotropicCase("g"), IsotropicCase("g", x=0)):
+        with pytest.raises(ValueError, match="unknown isotropic case label 'g'"):
+            isotropic_case_bound(case)
 
 
 def test_unified_formula_equals_case_c():

@@ -153,7 +153,7 @@ def test_threshold_chain_structure():
 
 @pytest.mark.parametrize("series,rank", [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
-    ("E", 6),
+    ("E", 6), ("E", 7), ("E", 8),
 ])
 def test_threshold_chain_sizes_match_an_independent_rank_count(series, rank):
     sympy = pytest.importorskip("sympy")
@@ -168,12 +168,22 @@ def test_threshold_chain_sizes_match_an_independent_rank_count(series, rank):
         assert [j for j, _ in chain] == list(range(1, len(chain) + 1))
         for j, size in chain:
             members = [row for row, v in zip(rows, values) if v < math.exp(j)]
-            others = [row for row, v in zip(rows, values) if v >= math.exp(j)]
-            # a coroot lies in the span exactly when adding it keeps the rank
-            span_rank = sympy.Matrix(members).rank() if members else 0
-            joining = sum(1 for row in others if sympy.Matrix(members + [row]).rank() == span_rank)
-            assert size == len(members) + joining
+            # a coroot lies in the span exactly when it is orthogonal to every
+            # vector the members annihilate
+            null = sympy.Matrix(len(members), rank, sum(members, [])).nullspace()
+            orthogonal = [all(sum(x * y for x, y in zip(row, n)) == 0 for n in null) for row in rows]
+            assert size == sum(orthogonal)
         assert chain[-1][1] == rs.kappa
+
+
+def test_threshold_chain_decides_the_threshold_exactly():
+    # 4311231547115195 < e^36 = 4311231547115195.227..., yet float exp(36) rounds to it
+    chain = threshold_subsystem_chain(build_root_system("A", 1), (4311231547115194,))
+    assert len(chain) == 36
+    assert chain[-1] == (36, 1)
+    # values far past float range: 1 + floor(ln(10^400 + 1)) = 922
+    chain = threshold_subsystem_chain(build_root_system("A", 2), (10**400, 0))
+    assert chain == [(j, 1) for j in range(1, 922)] + [(922, 3)]
 
 
 def test_log_dim_gap_stays_bounded():

@@ -89,7 +89,7 @@ def test_conjugate_partition():
 
 
 @pytest.mark.parametrize("function", [conjugate_partition, hook_degree])
-@pytest.mark.parametrize("parts", [(1, 3), (2, 0, 1), (2, 0), ()])
+@pytest.mark.parametrize("parts", [(1, 3), (2, 0, 1), (2, 0), (), (2, 1.0), (3, 1.5), ("3", "1")])
 def test_partition_functions_reject_what_is_not_a_partition(function, parts):
     with pytest.raises(ValueError, match=r"not a partition \(weakly decreasing positive parts\)"):
         function(parts)
