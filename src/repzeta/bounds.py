@@ -3,19 +3,22 @@
 Two mechanisms feed the audit.  A conjugacy-growth exponent gamma for a
 group of dimension delta forces abscissa >= 2*gamma/(delta - gamma); and any
 anisotropic inner form yields abscissa >= rank/#positive-roots = 2/h of the
-absolute root system (the "torus" bound).  Every audited type is one table
-row (case, parameters, formula, fallback types): an isotropic family a-f
-takes its formula from (gamma, delta) through 2*gamma/(delta - gamma), and
-G2, F4, E6, E7 and E8 are rows with no formula and one fallback type each.
-One row builder sets the fallback to the least 2/h over the row's types and
-the value to max(formula, fallback), all in exact rationals.  The global
-minimum must be 1/15, attained exactly where the Coxeter number reaches 30.
+absolute root system (the "torus" bound).  One integer table holds each
+isotropic family a-f: gamma's numerator and denominator, delta and the
+fallback types; G2, F4, E6, E7 and E8 are rows with no formula and one type
+each.  A row's fallback is 2/h of its first type of largest h, its value the
+larger of formula and fallback.  Rows are decided in integers: the formula
+is (2*gamma_n, delta*gamma_d - gamma_n), compared with the fallback, the
+threshold and the running minimum by cross-multiplication.  Each stored
+value is one exact Fraction.  The minimum must be 1/15, at h = 30 only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .rootsystems import coxeter_number
 
@@ -26,15 +29,45 @@ class AuditError(RuntimeError):
     """Raised when some audited case falls below the 1/15 threshold."""
 
 
-def slm_class_growth_bound(m: int, d: int) -> Fraction:
-    """Class-growth exponent bound for SL_m over a degree-d division ring:
-    (floor((m+1)/2) * floor(m/2) * d^2 - m*d + 1) / 3."""
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _slm_parameters(m, d) -> tuple[int, int]:
+    m, d = _integer(m, "m"), _integer(d, "d")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    n = ((m + 1) // 2) * (m // 2) * d * d - m * d + 1
-    return Fraction(n, 3)
+    return m, d
+
+
+# Each isotropic family at its parameters: the numerator and denominator of
+# its class-growth exponent gamma, its dimension delta, and the absolute root
+# systems of its torus fallback.  Case a is SL_m over a degree-d division
+# ring; b-f are the unitary, orthogonal and symplectic families at index x.
+_FAMILIES = {
+    "a": lambda m, d: (((m + 1) // 2) * (m // 2) * d * d - m * d + 1, 3, (m * d) ** 2 - 1,
+                       [("A", m * d - 1)]),
+    "b": lambda x: (x * x - 2 * x, 1, (2 * x + 2) ** 2 - 1, [("A", 2 * x + 1)]),
+    # even ambient dimension gives D, odd gives B; audit both parities
+    "c": lambda x: (x * x - 3 * x, 2, (x + 2) * (2 * x + 3), [("D", x + 2), ("B", x + 2)]),
+    "d": lambda x: (x * x - x, 2, x * (2 * x + 1), [("C", x)]),
+    # delta is dim D_{2x+1}, yet the fallback is C_{2x+1}; its 2/h is the
+    # smaller of the two, so the audit stays conservative
+    "e": lambda x: (2 * x * x + x, 1, (2 * x + 1) * (4 * x + 1), [("C", 2 * x + 1)]),
+    "f": lambda x: (2 * x * x - x, 1, (2 * x + 3) * (4 * x + 5), [("D", 2 * x + 3)]),
+}
+
+
+def slm_class_growth_bound(m: int, d: int) -> Fraction:
+    """Class-growth exponent bound for SL_m over a degree-d division ring:
+    (floor((m+1)/2) * floor(m/2) * d^2 - m*d + 1) / 3."""
+    gamma_n, gamma_d, _, _ = _FAMILIES["a"](*_slm_parameters(m, d))
+    return Fraction(gamma_n, gamma_d)
 
 
 @dataclass(frozen=True)
@@ -47,42 +80,24 @@ class IsotropicCase:
     x: int | None = None
 
 
-# Each isotropic family b-f at index x: its class-growth exponent gamma, its
-# dimension delta, and the absolute root systems of its torus fallback.
-_FAMILIES = {
-    "b": lambda x: (Fraction(x * x - 2 * x), (2 * x + 2) ** 2 - 1, [("A", 2 * x + 1)]),
-    # even ambient dimension gives D, odd gives B; audit both parities
-    "c": lambda x: (
-        Fraction(x * x - 3 * x, 2), (x + 2) * (2 * x + 3), [("D", x + 2), ("B", x + 2)]
-    ),
-    "d": lambda x: (Fraction(x * x - x, 2), x * (2 * x + 1), [("C", x)]),
-    # delta is dim D_{2x+1}, yet the fallback is C_{2x+1}; its 2/h is the
-    # smaller of the two, so the audit stays conservative
-    "e": lambda x: (Fraction(2 * x * x + x), (2 * x + 1) * (4 * x + 1), [("C", 2 * x + 1)]),
-    "f": lambda x: (Fraction(2 * x * x - x), (2 * x + 3) * (4 * x + 5), [("D", 2 * x + 3)]),
-}
-
-
 def _class_growth(case: IsotropicCase) -> tuple[Fraction, int, list[tuple[str, int]]]:
     """(gamma, delta, fallback types) of one isotropic family."""
     lab = case.label
+    if lab not in _FAMILIES:
+        raise ValueError(f"unknown isotropic case label {lab!r}")
     if lab == "a":
         if case.m is None or case.d is None:
             raise ValueError("case 'a' needs parameters m and d")
-        md = case.m * case.d
-        return slm_class_growth_bound(case.m, case.d), md * md - 1, [("A", md - 1)]
-    if lab not in _FAMILIES:
-        raise ValueError(f"unknown isotropic case label {lab!r}")
-    if case.x is None:
-        raise ValueError(f"case {lab!r} needs parameter x")
-    if case.x < 1:
-        raise ValueError(f"index x must be >= 1, got {case.x}")
-    return _FAMILIES[lab](case.x)
-
-
-def _case_formula(gamma: Fraction, delta: int) -> Fraction:
-    # 2*gamma/(delta - gamma) as one exact division; a negative gamma passes
-    return Fraction(2 * gamma.numerator, delta * gamma.denominator - gamma.numerator)
+        parameters = _slm_parameters(case.m, case.d)
+    else:
+        if case.x is None:
+            raise ValueError(f"case {lab!r} needs parameter x")
+        x = _integer(case.x, "x")
+        if x < 1:
+            raise ValueError(f"index x must be >= 1, got {x}")
+        parameters = (x,)
+    gamma_n, gamma_d, delta, types = _FAMILIES[lab](*parameters)
+    return Fraction(gamma_n, gamma_d), delta, types
 
 
 def isotropic_case_bound(case: IsotropicCase) -> Fraction:
@@ -94,12 +109,13 @@ def isotropic_case_bound(case: IsotropicCase) -> Fraction:
     small x gamma is negative and so is the bound.
     """
     gamma, delta, _ = _class_growth(case)
-    return _case_formula(gamma, delta)
+    return 2 * gamma / (delta - gamma)
 
 
 def unified_isotropic_bound(x: int) -> Fraction:
     """Common lower envelope (2x^2 - 6x) / (3x^2 + 17x + 12) of cases (b)-(f);
     strictly increasing and above 1/15 for x >= 5."""
+    x = _integer(x, "x")
     if x < 1:
         raise ValueError(f"index x must be >= 1, got {x}")
     return Fraction(2 * x * x - 6 * x, 3 * x * x + 17 * x + 12)
@@ -172,17 +188,6 @@ class AuditReport:
 _EXCEPTIONAL = (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8))
 
 
-def _row(case: str, parameters: dict, formula: Fraction | None,
-         types: list[tuple[str, int]]) -> AuditRow:
-    """One audit row: the fallback is the least torus bound 2/h over the
-    row's types, and the value the larger of it and the formula."""
-    fallback_label, fallback = min(
-        ((f"{s}{r}", Fraction(2, _coxeter(s, r))) for s, r in types), key=lambda t: t[1]
-    )
-    return AuditRow(case, parameters, formula, fallback_label, fallback,
-                    max(formula or 0, fallback))
-
-
 def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
     """Exact audit of every isotropic family plus the exceptional types.
 
@@ -192,34 +197,43 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
     falls below 1/15; otherwise reports the global minimum, which is 1/15
     exactly, attained only at Coxeter number 30.
     """
+    x_max, md_max = _integer(x_max, "x_max"), _integer(md_max, "md_max")
     if x_max < 5 or md_max < 4:
         raise ValueError("audit needs x_max >= 5 and md_max >= 4")
-    rows: list[AuditRow] = []
-    cases = [IsotropicCase("a", m=m, d=d)
-             for m in range(2, md_max + 1) for d in range(1, md_max // m + 1)]
-    cases += [IsotropicCase(label, x=x) for label in _FAMILIES for x in range(1, x_max + 1)]
-    for case in cases:
-        gamma, delta, types = _class_growth(case)
-        formula = _case_formula(gamma, delta)
+    cases = chain(
+        (("a", {"m": m, "d": d}, _FAMILIES["a"](m, d))
+         for m in range(2, md_max + 1) for d in range(1, md_max // m + 1)),
+        ((label, {"x": x}, _FAMILIES[label](x)) for label in "bcdef" for x in range(1, x_max + 1)),
+        # an exceptional row has no formula, as a zero gamma in b-f has none
+        (("exceptional", {"type": f"{s}{r}"}, (0, 1, 1, [(s, r)])) for s, r in _EXCEPTIONAL),
+    )
+    t_n, t_d = THRESHOLD.numerator, THRESHOLD.denominator
+    torus = {}  # (series, rank) -> (label, h, 2/h), each Fraction built once
+    rows = []
+    low, low_n, low_d = None, 1, 0  # the running minimum, +inf as 1/0
+    for case, params, (gamma_n, gamma_d, delta, types) in cases:
+        h = 0
+        for t in types:  # the first type of largest h has the least 2/h
+            entry = torus.get(t)
+            if entry is None:
+                h_t = _coxeter(*t)
+                entry = torus[t] = (f"{t[0]}{t[1]}", h_t, Fraction(2, h_t))
+            if entry[1] > h:
+                fb_label, h, fallback = entry
+        # 2*gamma/(delta - gamma) = p/q, and q > 0 since delta > gamma in every family
+        p, q = 2 * gamma_n, delta * gamma_d - gamma_n
         # case a records its zero formula (m = 2, d = 1); b-f drop a non-positive one
-        if formula <= 0 and case.label != "a":
-            formula = None
-        params = {"m": case.m, "d": case.d} if case.label == "a" else {"x": case.x}
-        rows.append(_row(case.label, params, formula, types))
-    rows += [_row("exceptional", {"type": f"{s}{r}"}, None, [(s, r)]) for s, r in _EXCEPTIONAL]
-
-    for row in rows:
-        if row.value < THRESHOLD:
-            raise AuditError(
-                f"case {row.case} {row.parameters} gives {row.value} < {THRESHOLD}"
-            )
-    global_min = min(row.value for row in rows)
-    min_cases = tuple(
-        f"{row.case}:{row.parameters}" for row in rows if row.value == global_min
-    )
-    return AuditReport(
-        rows=tuple(rows),
-        global_min=global_min,
-        min_cases=min_cases,
-        threshold=THRESHOLD,
-    )
+        formula = Fraction(p, q) if p > 0 or case == "a" else None
+        if p * h >= 2 * q:  # the formula wins a tie
+            value, v_n, v_d = formula, p, q
+        else:
+            value, v_n, v_d = fallback, 2, h
+        if v_n * t_d < t_n * v_d:
+            raise AuditError(f"case {case} {params} gives {value} < {THRESHOLD}")
+        rows.append(AuditRow(case, params, formula, fb_label, fallback, value))
+        c = v_n * low_d - low_n * v_d
+        if c < 0:
+            low, low_n, low_d, min_cases = value, v_n, v_d, []
+        if c <= 0:
+            min_cases.append(f"{case}:{params}")
+    return AuditReport(tuple(rows), low, tuple(min_cases), THRESHOLD)

@@ -20,6 +20,7 @@ value v lies below e^j is decided exactly, as j > floor(ln v).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -189,13 +190,22 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
 
 def _check_weight(rs: RootSystem, weight) -> tuple[int, ...]:
+    """The coordinates as Python ints, so a numpy integer brings no int64
+    overflow into the coroot values; ValueError unless each is a
+    non-negative integer."""
     a = tuple(weight)
     if len(a) != rs.rank:
         raise ValueError(f"weight has {len(a)} coordinates, {rs.label()} needs {rs.rank}")
+    out = []
     for v in a:
-        if not isinstance(v, int) or v < 0:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            i = -1  # not an integer: refused below, as a negative one is
+        if i < 0:
             raise ValueError(f"weight coordinates must be non-negative integers, got {v!r}")
-    return a
+        out.append(i)
+    return tuple(out)
 
 
 def coroot_values(rs: RootSystem, weight) -> list[int]:

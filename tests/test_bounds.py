@@ -1,11 +1,16 @@
 """Rational abscissa bounds and the global audit."""
 
+import hashlib
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import repzeta.bounds
 from repzeta.bounds import (
     AuditError,
+    AuditRow,
     IsotropicCase,
     _class_growth,
     isotropic_abscissa_audit,
@@ -131,3 +136,127 @@ def test_division_algebra_dichotomy_escapes_the_floor():
     assert report.global_min >= floor
     assert sl1_division_abscissa(40) < floor
     assert sl1_division_abscissa(1000) < Fraction(1, 100)
+
+
+def test_audit_error_reads_the_threshold_at_call_time(monkeypatch):
+    # E8 sits at 1/15, below a threshold of 1/14
+    monkeypatch.setattr(repzeta.bounds, "THRESHOLD", Fraction(1, 14))
+    with pytest.raises(AuditError, match="< 1/14"):
+        isotropic_abscissa_audit(12, 12)
+
+
+def _oracle_fallback(types):
+    # the least torus bound 2/h over the types, the first of them on a tie
+    candidates = []
+    for series, rank in types:
+        h = 2 if (series, rank) == ("C", 1) else coxeter_number(series, rank)
+        candidates.append((f"{series}{rank}", Fraction(2, h)))
+    return min(candidates, key=lambda c: c[1])
+
+
+def _oracle_rows(x_max, md_max):
+    """Every audit row from the paper's closed forms in plain Fraction arithmetic."""
+    families = {
+        "b": lambda x: (Fraction(x * x - 2 * x), (2 * x + 2) ** 2 - 1, [("A", 2 * x + 1)]),
+        "c": lambda x: (Fraction(x * x - 3 * x, 2), (x + 2) * (2 * x + 3),
+                        [("D", x + 2), ("B", x + 2)]),
+        "d": lambda x: (Fraction(x * x - x, 2), x * (2 * x + 1), [("C", x)]),
+        "e": lambda x: (Fraction(2 * x * x + x), (2 * x + 1) * (4 * x + 1), [("C", 2 * x + 1)]),
+        "f": lambda x: (Fraction(2 * x * x - x), (2 * x + 3) * (4 * x + 5), [("D", 2 * x + 3)]),
+    }
+    cases = []
+    for m in range(2, md_max + 1):
+        for d in range(1, md_max // m + 1):
+            gamma = Fraction(((m + 1) // 2) * (m // 2) * d * d - m * d + 1, 3)
+            cases.append(("a", {"m": m, "d": d}, gamma, (m * d) ** 2 - 1, [("A", m * d - 1)]))
+    for label, family in families.items():
+        cases += [(label, {"x": x}, *family(x)) for x in range(1, x_max + 1)]
+    rows = []
+    for case, params, gamma, delta, types in cases:
+        formula = 2 * gamma / (delta - gamma)
+        if formula <= 0 and case != "a":
+            formula = None
+        label, fallback = _oracle_fallback(types)
+        rows.append(AuditRow(case, params, formula, label, fallback, max(formula or 0, fallback)))
+    for series, rank in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)):
+        label, fallback = _oracle_fallback([(series, rank)])
+        rows.append(AuditRow("exceptional", {"type": label}, None, label, fallback, fallback))
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (60, 60), (5, 120)])
+def test_audit_rows_match_a_plain_fraction_oracle(shape):
+    report = isotropic_abscissa_audit(*shape)
+    expected = _oracle_rows(*shape)
+    assert list(report.rows) == expected
+    low = min(row.value for row in expected)
+    assert report.global_min == low
+    assert report.min_cases == tuple(
+        f"{row.case}:{row.parameters}" for row in expected if row.value == low
+    )
+
+
+# SHA-256 of the sorted-key JSON report at the benchmark's most lopsided shapes
+AUDIT_JSON_SHA256 = {
+    (500, 50): "52d817db1d1762aea4a90b22e16c05fed43bcc78e22acb4468dd06af3b77b22c",
+    (50, 500): "cc924004e67aac86c3d2462fa752fed2ad7ee6f16468813cda5700b5ddf57194",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AUDIT_JSON_SHA256))
+def test_audit_json_is_pinned_at_the_extreme_shapes(shape):
+    payload = json.dumps(isotropic_abscissa_audit(*shape).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == AUDIT_JSON_SHA256[shape]
+
+
+def test_non_integer_parameters_are_refused_by_name():
+    calls = [
+        (lambda: unified_isotropic_bound(5.5), "x must be an integer"),
+        (lambda: slm_class_growth_bound(2.5, 1), "m must be an integer"),
+        (lambda: slm_class_growth_bound(3, 1.0), "d must be an integer"),
+        (lambda: isotropic_abscissa_audit(50.0, 50), "x_max must be an integer"),
+        (lambda: isotropic_abscissa_audit(50, "50"), "md_max must be an integer"),
+        (lambda: isotropic_case_bound(IsotropicCase("b", x=5.0)), "x must be an integer"),
+        (lambda: isotropic_case_bound(IsotropicCase("a", m=3, d=1.5)), "d must be an integer"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the range messages are unchanged
+    with pytest.raises(ValueError, match="m must be >= 2, got 1"):
+        slm_class_growth_bound(1, 1)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        isotropic_case_bound(IsotropicCase("a", m=3, d=0))
+    with pytest.raises(ValueError, match="index x must be >= 1, got 0"):
+        unified_isotropic_bound(0)
+    with pytest.raises(ValueError, match="audit needs x_max >= 5 and md_max >= 4"):
+        isotropic_abscissa_audit(4, 50)
+
+
+def test_numpy_integer_parameters_give_the_same_values():
+    assert slm_class_growth_bound(np.int64(6), np.int32(1)) == Fraction(4, 3)
+    assert unified_isotropic_bound(np.int64(7)) == unified_isotropic_bound(7)
+    assert isotropic_case_bound(IsotropicCase("e", x=np.int64(5))) == Fraction(5, 8)
+    assert isotropic_abscissa_audit(np.int64(12), np.int32(12)) == isotropic_abscissa_audit(12, 12)
+
+
+@pytest.mark.parametrize("order", [("D", "B"), ("B", "D")])
+def test_first_fallback_type_of_the_largest_coxeter_number_wins_a_tie(monkeypatch, order):
+    # D_{x+3} and B_{x+2} share h = 2x + 4; no family of the paper has such a tie
+    def family_c(x):
+        rank = {"D": x + 3, "B": x + 2}
+        return x * x - 3 * x, 2, (x + 2) * (2 * x + 3), [(s, rank[s]) for s in order]
+
+    monkeypatch.setitem(repzeta.bounds._FAMILIES, "c", family_c)
+    rows = [row for row in isotropic_abscissa_audit(12, 12).rows if row.case == "c"]
+    assert [row.fallback_label for row in rows] == [
+        f"D{x + 3}" if order[0] == "D" else f"B{x + 2}" for x in range(1, 13)
+    ]
+    assert all(row.fallback == Fraction(2, 2 * x + 4) for x, row in enumerate(rows, 1))
+
+
+def test_every_row_at_the_minimum_is_named(monkeypatch):
+    monkeypatch.setattr(repzeta.bounds, "_EXCEPTIONAL", (("E", 8), ("G", 2), ("E", 8)))
+    report = isotropic_abscissa_audit(12, 12)
+    assert report.global_min == Fraction(1, 15)
+    assert report.min_cases == ("exceptional:{'type': 'E8'}",) * 2

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repzeta.rootsystems import (
@@ -209,3 +210,18 @@ def test_invalid_inputs_rejected():
         weyl_dim(rs, (-1, 0))
     with pytest.raises(ValueError):
         weyl_dim(rs, (1.5, 0))
+    with pytest.raises(ValueError, match="non-negative integers, got '1'"):
+        weyl_dim(rs, ("1", 0))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_numpy_integer_weights_give_the_plain_int_result(dtype):
+    rs = build_root_system("A", 2)
+    for weight in [(1, 2), (0, 0), (7, 3)]:
+        assert weyl_dim(rs, np.array(weight, dtype=dtype)) == weyl_dim(rs, weight)
+        assert coroot_values(rs, np.array(weight, dtype=dtype)) == coroot_values(rs, weight)
+    # coordinates near the int32 limit: an int64 coroot product would overflow
+    big = np.iinfo(dtype).max // 4
+    values = coroot_values(rs, np.array([big, big], dtype=dtype))
+    assert all(type(v) is int for v in values)
+    assert weyl_dim(rs, np.array([big, big], dtype=dtype)) == weyl_dim(rs, (int(big), int(big)))
