@@ -15,11 +15,11 @@ value is one exact Fraction.  The minimum must be 1/15, at h = 30 only.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from .errors import integer
 from .rootsystems import coxeter_number
 
 THRESHOLD = Fraction(1, 15)
@@ -27,22 +27,6 @@ THRESHOLD = Fraction(1, 15)
 
 class AuditError(RuntimeError):
     """Raised when some audited case falls below the 1/15 threshold."""
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _slm_parameters(m, d) -> tuple[int, int]:
-    m, d = _integer(m, "m"), _integer(d, "d")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return m, d
 
 
 # Each isotropic family at its parameters: the numerator and denominator of
@@ -66,7 +50,7 @@ _FAMILIES = {
 def slm_class_growth_bound(m: int, d: int) -> Fraction:
     """Class-growth exponent bound for SL_m over a degree-d division ring:
     (floor((m+1)/2) * floor(m/2) * d^2 - m*d + 1) / 3."""
-    gamma_n, gamma_d, _, _ = _FAMILIES["a"](*_slm_parameters(m, d))
+    gamma_n, gamma_d, _, _ = _FAMILIES["a"](integer(m, "m", 2), integer(d, "d", 1))
     return Fraction(gamma_n, gamma_d)
 
 
@@ -86,16 +70,9 @@ def _class_growth(case: IsotropicCase) -> tuple[Fraction, int, list[tuple[str, i
     if lab not in _FAMILIES:
         raise ValueError(f"unknown isotropic case label {lab!r}")
     if lab == "a":
-        if case.m is None or case.d is None:
-            raise ValueError("case 'a' needs parameters m and d")
-        parameters = _slm_parameters(case.m, case.d)
+        parameters = integer(case.m, "m", 2), integer(case.d, "d", 1)
     else:
-        if case.x is None:
-            raise ValueError(f"case {lab!r} needs parameter x")
-        x = _integer(case.x, "x")
-        if x < 1:
-            raise ValueError(f"index x must be >= 1, got {x}")
-        parameters = (x,)
+        parameters = (integer(case.x, "index x", 1),)
     gamma_n, gamma_d, delta, types = _FAMILIES[lab](*parameters)
     return Fraction(gamma_n, gamma_d), delta, types
 
@@ -115,9 +92,7 @@ def isotropic_case_bound(case: IsotropicCase) -> Fraction:
 def unified_isotropic_bound(x: int) -> Fraction:
     """Common lower envelope (2x^2 - 6x) / (3x^2 + 17x + 12) of cases (b)-(f);
     strictly increasing and above 1/15 for x >= 5."""
-    x = _integer(x, "x")
-    if x < 1:
-        raise ValueError(f"index x must be >= 1, got {x}")
+    x = integer(x, "index x", 1)
     return Fraction(2 * x * x - 6 * x, 3 * x * x + 17 * x + 12)
 
 
@@ -197,7 +172,7 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
     falls below 1/15; otherwise reports the global minimum, which is 1/15
     exactly, attained only at Coxeter number 30.
     """
-    x_max, md_max = _integer(x_max, "x_max"), _integer(md_max, "md_max")
+    x_max, md_max = integer(x_max, "x_max"), integer(md_max, "md_max")
     if x_max < 5 or md_max < 4:
         raise ValueError("audit needs x_max >= 5 and md_max >= 4")
     cases = chain(

@@ -19,17 +19,17 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterator, Mapping
 
+from .errors import integer
+
 CHUNK = 4096  # rows the writers format per % call
 
 _CSV_ROW = "%d,%d,%d\r\n"  # as csv.writer writes a row of ints
 _JSON_ENTRY = ',\n    {\n      "cumulative": %d,\n      "degree": %d,\n      "multiplicity": %d\n    }'
 
 
-def check_exact_exponent(s) -> None:
-    """An exact Dirichlet sum needs an int s >= 0: d^s must be an integer."""
-    if not isinstance(s, int) or s < 0:
-        raise ValueError(f"exact evaluation needs integer s >= 0, got {s!r}; "
-                         "use zeta(s) for a float value")
+def check_exact_exponent(s) -> int:
+    """s as a Python int >= 0, so that d^s is an exact integer, never an int64 that overflows."""
+    return integer(s, "exact zeta exponent s (use zeta(s) for a float value)", 0)
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class DegreeCensus:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], cap: int) -> "DegreeCensus":
-        if cap < 1:
-            raise ValueError(f"census cap must be >= 1, got {cap}")
+        cap = integer(cap, "census cap", 1)
         degrees = sorted(counts)
         mults = []
         for d in degrees:
@@ -91,7 +90,7 @@ class DegreeCensus:
         Every term is put over one denominator, lcm(d)^s = lcm(d^s), so the
         sum is one integer and one Fraction reduces it.
         """
-        check_exact_exponent(s)
+        s = check_exact_exponent(s)
         denominator = math.lcm(*self.degrees) ** s
         return Fraction(sum(m * (denominator // d**s) for d, m in self.items()), denominator)
 

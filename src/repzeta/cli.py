@@ -149,7 +149,12 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    schedule = [int(tok) for tok in args.schedule.split(",") if tok]
+    schedule = []
+    for tok in filter(None, args.schedule.split(",")):
+        try:
+            schedule.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--schedule entries must be integers, got {tok!r}") from None
     report = divergence_probe(args.s, schedule)
     for bound, value in zip(report.prime_bounds, report.values):
         print(f"P={bound}: {_fmt(value)}")

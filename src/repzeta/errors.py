@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and `integer`, the check of every scalar integer
+parameter: a numpy integer comes back as a Python int, and a float or a
+numeric string is a ValueError naming the parameter, never truncated or parsed.
+"""
+
+import operator
 
 
 class BudgetExceededError(RuntimeError):
@@ -8,3 +13,14 @@ class BudgetExceededError(RuntimeError):
     can distinguish "too big to enumerate" from a genuine bug.  Nothing is
     ever silently truncated.
     """
+
+
+def integer(value, name: str, minimum: int | None = None) -> int:
+    """value as a Python int, or ValueError naming it unless it is an integer >= minimum."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value

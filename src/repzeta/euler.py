@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import DegreeCensus
+from .errors import integer
 from .numtheory import odd_primes_up_to
 from .sl2local import _excess, sl2_local_zeta
 
@@ -30,11 +31,10 @@ class EulerProductConfig:
     prime_bound: int
     archimedean_exponent: int = 1
 
-    def __post_init__(self):
-        if self.prime_bound < 3:
-            raise ValueError(f"prime bound must be >= 3, got {self.prime_bound}")
-        if self.archimedean_exponent < 0:
-            raise ValueError("archimedean exponent must be >= 0")
+    def __post_init__(self):  # frozen: the checked ints are stored past __setattr__
+        object.__setattr__(self, "prime_bound", integer(self.prime_bound, "prime bound", 3))
+        object.__setattr__(self, "archimedean_exponent",
+                           integer(self.archimedean_exponent, "archimedean exponent", 0))
 
 
 def _odd_prime_fold(s: float, bounds: tuple[int, ...]) -> np.ndarray:
@@ -169,11 +169,9 @@ def divergence_probe(s: float, prime_bounds) -> DivergenceProbeReport:
     s = 2 probes the divergence point (with the zeta-pole comparator);
     2 < s <= 3 probes convergence.  The schedule must be strictly increasing.
     """
-    bounds = tuple(int(b) for b in prime_bounds)
+    bounds = tuple(integer(b, "prime bound", 3) for b in prime_bounds)
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise ValueError("prime bound schedule must be strictly increasing, length >= 2")
-    if bounds[0] < 3:
-        raise ValueError("smallest prime bound must be >= 3")
     if not 2 <= s <= 3:
         raise ValueError(f"probe covers s in [2, 3], got {s}")
     gaps, comparator_gaps = _odd_prime_fold(s, bounds)

@@ -53,7 +53,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, integer
 from .numtheory import prime_power
 
 DEFAULT_GROUP_BUDGET = 200_000
@@ -74,10 +74,9 @@ class QuotientRing:
     def __init__(self, p: int, k: int, flavor: str = "char0"):
         if flavor not in ("char0", "charp"):
             raise ValueError(f"flavor must be 'char0' or 'charp', got {flavor!r}")
+        p, k = integer(p, "p"), integer(k, "k", 1)
         if p % 2 == 0 or prime_power(p) != (p, 1):
             raise ValueError(f"p must be an odd prime, got {p}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         size = p**k
         if size > _MAX_TABLE_SIZE:
             raise ValueError(f"ring size p^k = {size} needs {size}x{size} operation tables; "
@@ -331,8 +330,7 @@ def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:
     """
     if not counts:
         raise ValueError("need class counts for at least one level")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    q = integer(q, "q", 2)
     out = []
     for k in sorted(counts):
         n = counts[k]

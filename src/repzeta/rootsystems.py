@@ -26,6 +26,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import integer
+
 _VALID_RANKS = {
     "A": (1, None),
     "B": (2, None),
@@ -37,18 +39,21 @@ _VALID_RANKS = {
 }
 
 
-def _check_type(series: str, rank: int) -> None:
+def _check_type(series: str, rank: int) -> int:
+    """rank as an int; ValueError unless series and rank name an irreducible type."""
     if series not in _VALID_RANKS:
         raise ValueError(f"unknown series {series!r}; expected one of A B C D E F G")
+    rank = integer(rank, "rank")
     lo, hi = _VALID_RANKS[series]
     if rank < lo or (hi is not None and rank > hi):
         upper = hi if hi is not None else "any"
         raise ValueError(f"invalid rank {rank} for series {series} (allowed: {lo}..{upper})")
+    return rank
 
 
 def coxeter_number(series: str, rank: int) -> int:
     """Coxeter number h of the irreducible system, from the classical table."""
-    _check_type(series, rank)
+    rank = _check_type(series, rank)
     if series == "A":
         return rank + 1
     if series in ("B", "C"):
@@ -64,12 +69,12 @@ def coxeter_number(series: str, rank: int) -> int:
 
 def positive_root_count(series: str, rank: int) -> int:
     """Number of positive roots; always rank * h / 2."""
+    rank = _check_type(series, rank)
     return rank * coxeter_number(series, rank) // 2
 
 
 def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     """Cartan matrix with entries A[i][j] = <alpha_i, alpha_j-coroot>."""
-    _check_type(series, rank)
     r = rank
     a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
 
@@ -159,14 +164,18 @@ class RootSystem:
         return f"{self.series}{self.rank}"
 
 
-@lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Construct the coroot table for series/rank, with table cross-checks.
 
     The positive coroots of X_r are the positive roots of the dual system,
-    whose Cartan matrix is the transpose, so the closure runs on that.
+    whose Cartan matrix is the transpose, so the closure runs on that.  One
+    table per type: rank is checked, and made an int, before the cache.
     """
-    _check_type(series, rank)
+    return _root_system(series, _check_type(series, rank))
+
+
+@lru_cache(maxsize=None)
+def _root_system(series: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(series, rank)
     transposed = [list(col) for col in zip(*cartan)]
     rows = _positive_roots(transposed)

@@ -15,20 +15,21 @@ from itertools import islice
 import numpy as np
 
 from .census import DegreeCensus
+from .errors import integer
 from .numtheory import prime_power
 
 
-def _check_q(q: int) -> None:
+def _check_q(q: int) -> int:
+    q = integer(q, "q")
     if q % 2 == 0:
         raise ValueError(f"q = {q} is even; the closed form needs an odd residue field")
     if prime_power(q) is None:  # None for every q < 2
         raise ValueError(f"q = {q} is not an odd prime power >= 3")
+    return q
 
 
-def _check_level(q: int, k: int) -> None:
-    _check_q(q)
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
+def _check_level(q: int, k: int) -> tuple[int, int]:
+    return _check_q(q), integer(k, "level k", 1)
 
 
 def _families(q):
@@ -64,7 +65,7 @@ def sl2_local_excess(q: int, s: float) -> float:
     is about 1e-12, and L_q(s) rounded to a float keeps only four of its
     digits: take log L_q(s) as log1p of this.
     """
-    _check_q(q)
+    q = _check_q(q)
     if not s > 1:
         raise ValueError(f"s must exceed 1 for the geometric factor to converge, got {s}")
     return float(_excess(q, s))
@@ -86,7 +87,7 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
     scaled by q^(j-2).  Total class count is (q+4) + sum_{j=2..k} q^(j-1)(q+3)
     and the degree-square sum is the group order q^(3k-2) (q^2-1).
     """
-    _check_level(q, k)
+    q, k = _check_level(q, k)
     families = _families(q)
     terms = list(islice(families, 6))  # levels 0 and 1
     seeds = tuple(families)  # level 2
@@ -100,18 +101,16 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
 
 def sl2_class_count(q: int, k: int) -> int:
     """Predicted number of conjugacy classes of SL2 at level k."""
-    _check_level(q, k)
+    q, k = _check_level(q, k)
     return (q + 4) + sum(q ** (j - 1) * (q + 3) for j in range(2, k + 1))
 
 
 def sl2_group_order(q: int, k: int) -> int:
     """|SL2| of the level-k quotient: q^(3k-2) (q^2 - 1)."""
-    _check_level(q, k)
+    q, k = _check_level(q, k)
     return q ** (3 * k - 2) * (q * q - 1)
 
 
 def sl1_division_abscissa(d: int) -> Fraction:
     """Abscissa for the norm-one units of a division algebra of degree d: 2/d."""
-    if d < 2:
-        raise ValueError(f"division algebra degree must be >= 2, got {d}")
-    return Fraction(2, d)
+    return Fraction(2, integer(d, "division algebra degree", 2))

@@ -27,15 +27,18 @@ from itertools import accumulate
 import numpy as np
 
 from .census import DegreeCensus, check_exact_exponent
+from .errors import integer
 from .numtheory import odd_primes_up_to
 
 MAX_PARTITION_SIZE = 40
 
 
-def _check_size(k: int) -> None:
-    """ValueError unless 1 <= k <= MAX_PARTITION_SIZE, the sizes a census word holds in int64."""
+def _check_size(k: int) -> int:
+    """k as an int in 1..MAX_PARTITION_SIZE, the sizes a census word holds in int64."""
+    k = integer(k, "partition size k")
     if k < 1 or k > MAX_PARTITION_SIZE:
         raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
+    return k
 
 
 def partitions(k: int) -> list[tuple[int, ...]]:
@@ -46,7 +49,7 @@ def partitions(k: int) -> list[tuple[int, ...]]:
     refills greedily from it with the freed 1s; it never reads the tail of 1s.
     Constant amortised work per partition, apart from copying it out.
     """
-    _check_size(k)
+    k = _check_size(k)
     parts = [1] * k
     parts[0] = k
     size = 1  # parts in use
@@ -117,7 +120,6 @@ def _words(k: int) -> np.ndarray:
     way from those of n − m, m = 1..n, so they come ordered by largest part,
     and the partitions of n − m with largest part at most m are a prefix.
     """
-    _check_size(k)
     words = [np.zeros(1, np.int64)]
     ends = [[1]]  # ends[n][m]: how many partitions of n have largest part <= m
     for n in range(1, k + 1):
@@ -164,6 +166,7 @@ def _degree_counts(k: int) -> tuple[dict[int, int], dict[int, int]]:
     self-conjugate λ has λ₁ = ℓ(λ), so its top bead sits at 2ℓ − 1; among
     those, it is the one whose word reversed over 2ℓ bits is its complement.
     """
+    k = _check_size(k)
     words = _words(k)
     fields = _prime_fields(k)
     packed = {h: _packed(h, fields) for h in range(2, k + 1)}  # hooks of length 1 add nothing
@@ -209,8 +212,7 @@ def alt_degree_census(k: int) -> DegreeCensus:
     self-conjugate partition contributes the degree twice at half size (the
     half-degrees are always even in total count, never fractional).
     """
-    if k < 5:
-        raise ValueError(f"alternating census needs k >= 5, got {k}")
+    k = integer(k, "alternating census k", 5)
     counts, self_conjugate = _degree_counts(k)
     for d, m in self_conjugate.items():
         if d % 2:
@@ -314,6 +316,7 @@ def wreath_log_order(ells, j: int) -> float:
     """log |W_j| for the tower W_0 = A_{l_0}, W_j = (A_{l_j})^(L_{j-1}) wr-ext W_{j-1},
     where L_{j-1} = l_0 * ... * l_{j-1}; each layer multiplies the order by
     (l_j! / 2)^(L_{j-1}).  Computed in log space via lgamma."""
+    j = integer(j, "tower level j")
     ells = _layer_sizes(ells, j)
     log_order = math.lgamma(ells[0] + 1) - math.log(2)
     big_l = ells[0]
@@ -347,8 +350,7 @@ def wreath_tower_conditions(ells, r: int) -> WreathConditionsReport:
     small enough to enumerate partitions (l_r <= 40); otherwise reported as
     not verifiable at desk scale.
     """
-    if r < 1:
-        raise ValueError(f"tower level r must be >= 1, got {r}")
+    r = integer(r, "tower level r", 1)
     ells = _layer_sizes(ells, r)
     log_prev = wreath_log_order(ells, r - 1)
     big_l = 1

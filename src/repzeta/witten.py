@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import DegreeCensus
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, integer
 from .rootsystems import RootSystem
 
 DEFAULT_CENSUS_BUDGET = 10_000_000
@@ -116,10 +116,7 @@ def dimension_census(
     BudgetExceededError if more than max_entries irreducibles would be
     recorded, before the frontier that would hold them is allocated.
     """
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    if max_entries < 1:
-        raise ValueError("max_entries must be >= 1")
+    max_dim, max_entries = integer(max_dim, "max_dim", 1), integer(max_entries, "max_entries", 1)
     rho = rs.rho_product
     limit = max_dim * rho  # dim <= max_dim exactly when its numerator <= limit
     dtype = np.int64 if limit < 2**62 else object
