@@ -106,6 +106,7 @@ def sandwich_check(q: int, s: float) -> SandwichResult:
     """Check (1-q^(1-s))^(-1/2) < local factor < (1-q^(1-s))^(-100) on s in [2,3]."""
     if not 2 <= s <= 3:
         raise ValueError(f"sandwich is stated for s in [2, 3], got {s}")
+    q = integer(q, "q")
     value = sl2_local_zeta(q, s)  # checks q before base**-0.5 divides by zero at q = 1
     base = 1.0 - q ** (1.0 - s)
     return SandwichResult(

@@ -16,10 +16,11 @@ keys, enumerated in order.  An element's index is its key less m for each of
 the ceil(a/p) m/p + [p | a] ceil(b/p) nonunit pairs below (a, b).  A build
 raises unless the elements solve ad - bc = 1, number the predicted order and
 have the indices 0, 1, ..., n - 1 (so they are distinct).  Left
-multiplication by each generator g acts on them as an index permutation L_g,
-and one orbit routine takes the connected components of such permutations;
-under the L_g there must be exactly one, which certifies the generator set
-on every build.
+multiplication by each generator g acts on them as an index permutation L_g.
+The generators generate the group exactly when the orbit H x0 of one element
+x0 under the L_g, H the subgroup they generate, is all of it: every left
+coset has |H| elements, so n / |H x0| counts the cosets, and it must be 1.
+That certifies the generator set on every build.
 
 The generators are E12(1), E21(1) and E12(pi), the last one dropped at k = 1.
 The first two generate SL2(F_p) mod pi (over F_p[t]/(t^k) they generate no
@@ -32,8 +33,9 @@ every layer and hence the whole group.
 Conjugation by g is composed from permutations that were each checked:
 g x g^-1 = L_g(iota(L_g(iota(x)))), where iota is the inversion
 x -> (d, -b, -c, a), indexed the same way, so its permutation is
-L_g[iota[L_g[iota]]], three gathers.  The components of these permutations
-are the conjugacy classes, each represented by its least index.
+L_g[iota[L_g[iota]]], three gathers.  The orbits of these permutations,
+their connected components, are the conjugacy classes, each represented by
+its least index.
 
 That element is also the class's lexicographically least.  A class that is
 not scalar mod p holds an element with a = 0: a cyclic vector of x, lifted
@@ -162,10 +164,13 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
     as their entry columns.  The build raises unless they number exactly the
     predicted order and are distinct, which certifies completeness.  The
     generators are E12(1), E21(1) and, when k > 1, E12(pi); left
-    multiplication by them must map the elements onto themselves and leave
-    one orbit, which certifies that they generate the group.  Each image's
-    index, in those and in the inversion permutation, is read off its entries.
+    multiplication by them must map the elements onto themselves, and the
+    orbit of the element at index 0 under it must be the whole group: the
+    n / |H x0| left cosets of the subgroup H they generate must be one, which
+    certifies that they generate the group.  Each image's index, in those and
+    in the inversion permutation, is read off its entries.
     """
+    max_order = integer(max_order, "max_order", 1)
     order = predicted_order(ring)
     if order > max_order:
         k = 0
@@ -187,7 +192,7 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
     left = tuple(_permutation(ring, cols, _image(ring, g, cols), f"x -> {g} x") for g in gens)
     a, b, c, d = cols
     inverse = _permutation(ring, cols, (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
-    cosets = np.unique(_orbit_labels(left)).size
+    cosets = order // _orbit_size(left)
     if cosets != 1:
         raise AssertionError(
             f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
@@ -304,6 +309,27 @@ def _orbit_labels(perms):
             labels = jumped
         if np.array_equal(labels, previous):
             return labels
+
+
+def _orbit_size(perms) -> int:
+    """Size of the orbit of index 0 under the index permutations `perms`.
+
+    A walk out from index 0: each level maps the indices first reached on
+    the level before through every permutation, and the walk stops at a
+    level that reaches nothing new, so each element's images are gathered
+    once.  Forward images suffice, since a permutation's inverse is one of
+    its powers.
+    """
+    reached = np.zeros(len(perms[0]), dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = reached.copy()
+        for perm in perms:
+            new[perm[frontier]] = True
+        frontier = np.flatnonzero(new ^ reached)
+        reached = new
+    return int(np.count_nonzero(reached))
 
 
 def _permutation(ring: QuotientRing, cols, image, name: str):

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 
+from .errors import integer
+
 
 def odd_primes_up_to(n: int) -> np.ndarray:
     """All odd primes <= n, ascending, as int64: a sieve of Eratosthenes over odd numbers."""
+    n = integer(n, "n")
     sieve = np.ones((n + 1) // 2, dtype=bool)  # index i stands for 2i + 1
     sieve[:1] = False
     for i in range(1, (math.isqrt(n) + 1) // 2):
@@ -19,6 +22,7 @@ def odd_primes_up_to(n: int) -> np.ndarray:
 
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, e) with p prime and p**e == n, or None if n is not a prime power."""
+    n = integer(n, "n")
     if n < 2:
         return None
     p = n

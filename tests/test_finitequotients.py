@@ -100,6 +100,39 @@ def test_generation_certificate_counts_cosets():
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_orbit_walk_counts_the_cosets_the_orbit_labels_count(flavor, p, k):
+    # n / |H x0| against the number of left orbits, each labelled by its
+    # least index.  The first two elementaries generate only SL2(F_p) over
+    # F_p[t]/(t^k), of index p^(3k - 3).
+    ring = QuotientRing(p, k, flavor)
+    cols = fq._sl2_elements(ring)
+    for count, expected in ((None, 1), (2, p ** (3 * k - 3) if flavor == "charp" else 1)):
+        left = [fq._permutation(ring, cols, fq._image(ring, g, cols), f"x -> {g} x")
+                for g in fq._elementaries(ring)[:count]]
+        cosets = len(cols[0]) // fq._orbit_size(left)
+        assert cosets == len(set(fq._orbit_labels(left).tolist())) == expected
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_orbit_walk_under_conjugation_is_the_class_of_index_zero(flavor, p, k):
+    group = build_sl2_group(QuotientRing(p, k, flavor))
+    classes = conjugacy_classes(group)
+    # index 0 is the least element, so its class is listed first
+    assert classes.representatives[0] == fq._tuples(col[:1] for col in group.cols)[0]
+    assert fq._orbit_size(fq._conjugations(group)) == classes.sizes[0]
+
+
+def test_build_certifies_generation_without_labelling_orbits(monkeypatch):
+    def refuse(perms):
+        raise AssertionError("the build labelled every left orbit")
+
+    monkeypatch.setattr(fq, "_orbit_labels", refuse)
+    assert build_sl2_group(QuotientRing(3, 2, "charp")).order == 648
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
 def test_orbit_labels_reject_an_image_outside_the_group(flavor, monkeypatch):
     ring = QuotientRing(3, 2, flavor)
     cols = fq._sl2_elements(ring)

@@ -24,8 +24,8 @@ from repzeta.bounds import (
 from repzeta.census import DegreeCensus, check_exact_exponent
 from repzeta.cli import main
 from repzeta.errors import integer
-from repzeta.euler import EulerProductConfig, divergence_probe
-from repzeta.finitequotients import QuotientRing, class_growth_exponents
+from repzeta.euler import EulerProductConfig, divergence_probe, sandwich_check
+from repzeta.finitequotients import QuotientRing, build_sl2_group, class_growth_exponents
 from repzeta.rootsystems import build_root_system, coxeter_number, positive_root_count
 from repzeta.sl2local import (
     sl1_division_abscissa,
@@ -90,6 +90,8 @@ ROUTED = [
     ("alternating census k", alt_degree_census, 7),
     ("exact zeta exponent s", lambda v: alt_degree_census(6).zeta_exact(v), 2),
     ("exact zeta exponent s", lambda v: alt_zeta_exact(5, v), 1),
+    ("max_order", lambda v: build_sl2_group(QuotientRing(3, 1), max_order=v).order, 24),
+    ("q", lambda v: sandwich_check(v, 2.5), 5),
 ]
 
 
