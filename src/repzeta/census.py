@@ -46,10 +46,10 @@ class DegreeCensus:
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], cap: int) -> "DegreeCensus":
         cap = integer(cap, "census cap", 1)
-        degrees = sorted(counts)
+        degrees = sorted([integer(d, "degree") for d in counts])
         mults = []
         for d in degrees:
-            m = counts[d]
+            m = integer(counts[d], "multiplicity")
             if d < 1 or d > cap:
                 raise ValueError(f"degree {d} outside [1, {cap}]")
             if m < 1:

@@ -295,18 +295,22 @@ def _conjugations(group: FiniteMatrixGroup) -> list[np.ndarray]:
 def _orbit_labels(perms):
     """Least index in each element's orbit under the index permutations `perms`.
 
-    The orbits are the connected components of the permutations: min-label
-    propagation along each permutation, then pointer jumping, until nothing
-    changes.  One direction suffices, since a permutation's edges lie on its
-    cycles.
+    The orbits are the connected components of the permutations.  Each round
+    takes the minimum of every label and its image's label along each
+    permutation, then jumps once, labels[labels]; the loop stops at the
+    first round that changes nothing.  Labels only fall, labels[x] <= x, and
+    each label is always a member of its element's orbit.  A round that
+    changes nothing leaves labels[x] <= labels[perm[x]] for every x and every
+    permutation; walking round a cycle of a permutation, those inequalities
+    force equality, so the label is constant on each orbit.  A member of the
+    orbit that is at most every member is the least index.
     """
     labels = np.arange(len(perms[0]), dtype=np.int32)
     while True:
         previous = labels
         for perm in perms:
             labels = np.minimum(labels, labels[perm])
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
+        labels = labels[labels]
         if np.array_equal(labels, previous):
             return labels
 
@@ -358,8 +362,8 @@ def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:
         raise ValueError("need class counts for at least one level")
     q = integer(q, "q", 2)
     out = []
-    for k in sorted(counts):
-        n = counts[k]
+    for k in sorted([integer(k, "level") for k in counts]):
+        n = integer(counts[k], "class count")
         if k < 1 or n < 1:
             raise ValueError(f"invalid level/count pair ({k}, {n})")
         out.append(math.log(n) / (k * math.log(q)))

@@ -11,7 +11,7 @@ from .errors import integer
 
 def odd_primes_up_to(n: int) -> np.ndarray:
     """All odd primes <= n, ascending, as int64: a sieve of Eratosthenes over odd numbers."""
-    n = integer(n, "n")
+    n = max(integer(n, "n"), 0)  # a negative n sieves the same nothing as 0
     sieve = np.ones((n + 1) // 2, dtype=bool)  # index i stands for 2i + 1
     sieve[:1] = False
     for i in range(1, (math.isqrt(n) + 1) // 2):

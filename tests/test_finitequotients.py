@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repzeta.finitequotients as fq
 from repzeta.cli import main
@@ -122,6 +124,60 @@ def test_orbit_walk_under_conjugation_is_the_class_of_index_zero(flavor, p, k):
     # index 0 is the least element, so its class is listed first
     assert classes.representatives[0] == fq._tuples(col[:1] for col in group.cols)[0]
     assert fq._orbit_size(fq._conjugations(group)) == classes.sizes[0]
+
+
+def _least_in_component(perms, n):
+    """Least index of each element's component, by a plain union-find over
+    the edges x -- perm[x], each union keeping the smaller root."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for x, y in enumerate(perm.tolist()):
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
+
+
+def _cycle(order, n):
+    """The permutation of range(n) that moves order[i] to order[i + 1] and fixes the rest."""
+    perm = np.arange(n)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
+@st.composite
+def _permutation_sets(draw):
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "n-cycle", "partial cycle", "identity"]))
+        order = rng.permutation(n)
+        if kind == "random":
+            perms.append(order)
+        elif kind == "n-cycle":
+            perms.append(_cycle(order, n))
+        elif kind == "partial cycle":
+            perms.append(_cycle(order[: draw(st.integers(1, n))], n))
+        else:
+            perms.append(np.arange(n))
+    return perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(perms=_permutation_sets())
+@example(perms=[np.array([1, 0])])
+@example(perms=[_cycle(np.arange(256), 256)])  # one round moves only the last label
+@example(perms=[_cycle(np.arange(255, -1, -1), 256), np.arange(256)])
+def test_orbit_labels_are_the_least_index_of_each_component(perms):
+    labels = fq._orbit_labels(perms)
+    assert labels.tolist() == _least_in_component(perms, len(perms[0]))
 
 
 def test_build_certifies_generation_without_labelling_orbits(monkeypatch):

@@ -92,6 +92,10 @@ ROUTED = [
     ("exact zeta exponent s", lambda v: alt_zeta_exact(5, v), 1),
     ("max_order", lambda v: build_sl2_group(QuotientRing(3, 1), max_order=v).order, 24),
     ("q", lambda v: sandwich_check(v, 2.5), 5),
+    ("degree", lambda v: DegreeCensus.from_counts({v: 1, 3: 2}, 10), 2),
+    ("multiplicity", lambda v: DegreeCensus.from_counts({1: 1, 2: v}, 10), 3),
+    ("level", lambda v: class_growth_exponents({v: 8, 2: 30}, 3), 1),
+    ("class count", lambda v: class_growth_exponents({1: v}, 3), 7),
 ]
 
 

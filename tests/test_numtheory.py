@@ -34,3 +34,9 @@ def test_n_must_be_an_integer(call):
     for n in (7, 9, 20):
         expected = repr(call(n))
         assert repr(call(np.int64(n))) == repr(call(np.int32(n))) == expected
+
+
+def test_negative_n_has_no_odd_primes():
+    for n in (-5, -2, -1):
+        primes = odd_primes_up_to(n)
+        assert primes.tolist() == [] and primes.dtype == np.int64
