@@ -11,7 +11,6 @@ products.
 __version__ = "0.1.0"
 
 from .bounds import (
-    AuditError,
     isotropic_abscissa_audit,
     isotropic_case_bound,
     slm_class_growth_bound,
@@ -64,7 +63,6 @@ from .symalt import (
 from .witten import abscissa_estimate, dimension_census, zeta_partial
 
 __all__ = [
-    "AuditError",
     "BudgetExceededError",
     "DegreeCensus",
     "EulerProductConfig",

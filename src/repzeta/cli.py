@@ -5,7 +5,9 @@ Subcommands mirror the library: witten (dimension census / abscissa), local
 (exact rational audit), alt (alternating-group degrees), euler (global
 partial product), probe (divergence probe).  Every --out write also produces
 a <out>.manifest.json recording the subcommand, parameters, package version
-and output checksum; identical manifests mean byte-identical outputs.
+and output checksum; identical manifests mean byte-identical outputs.  A
+command exits 1 exactly when it prints a FAIL verdict, after any --out write,
+and 2 on a rejected precondition.
 """
 
 from __future__ import annotations
@@ -106,14 +108,13 @@ def _cmd_census(args) -> int:
 
 def _cmd_bounds_audit(args) -> int:
     report = isotropic_abscissa_audit(args.x_max, args.md_max)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"global min >= 1/15: {verdict} "
+    print(f"global min >= {report.threshold}: {'PASS' if report.passed else 'FAIL'} "
           f"(min = {report.global_min} at {', '.join(report.min_cases)})")
     if args.verbose:
         print(report.format_table())
     if args.out:
         _write_out(args, lambda path: _write_json(report.to_json_dict(), path))
-    return 0
+    return 0 if report.passed else 1
 
 
 def _cmd_alt(args) -> int:
@@ -122,14 +123,13 @@ def _cmd_alt(args) -> int:
           f"max degree {census.max_degree()}")
     if args.s is not None:
         print(f"zeta at s={_fmt(args.s)}: {_fmt(census.zeta(args.s))}")
+    ok = True
     if args.check_index:
         ok = index_two_count_inequality(sym_degree_census(args.k), census)
         print(f"index-2 count inequalities: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            return 1
     if args.out:
         _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_euler(args) -> int:
@@ -166,7 +166,7 @@ def _cmd_probe(args) -> int:
         print("successive differences: " + ", ".join(_fmt(d) for d in report.differences))
     if args.out:
         _write_out(args, lambda path: _write_json(report.to_json_dict(), path))
-    return 0
+    return 0 if report.exceeds_comparator and report.strictly_increasing else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

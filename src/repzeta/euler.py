@@ -13,7 +13,7 @@ log1p of each local factor's excess over 1, summed in ascending order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -151,14 +151,7 @@ class DivergenceProbeReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "s": self.s,
-            "prime_bounds": list(self.prime_bounds),
-            "values": list(self.values),
-            "log_values": list(self.log_values),
-            "comparators_log": None
-            if self.comparators_log is None
-            else list(self.comparators_log),
-            "differences": list(self.differences),
+            **asdict(self),
             "strictly_increasing": self.strictly_increasing,
             "exceeds_comparator": self.exceeds_comparator,
         }

@@ -77,12 +77,19 @@ class QuotientRing:
         if flavor not in ("char0", "charp"):
             raise ValueError(f"flavor must be 'char0' or 'charp', got {flavor!r}")
         p, k = integer(p, "p"), integer(k, "k", 1)
-        if p % 2 == 0 or prime_power(p) != (p, 1):
+        if p < 3 or p % 2 == 0:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        k_max = 0  # decided before factoring p or forming p^k, whose costs grow with p and k
+        while p ** (k_max + 1) <= _MAX_TABLE_SIZE:
+            k_max += 1
+        if k > k_max:
+            remedy = (f"the largest level within it at p = {p} is k = {k_max}" if k_max else
+                      f"no level at p = {p} is within it")
+            raise ValueError(f"ring size p^k = {p}^{k} needs operation tables of that size "
+                             f"squared; the largest size allowed is {_MAX_TABLE_SIZE}; {remedy}")
+        if prime_power(p) != (p, 1):
             raise ValueError(f"p must be an odd prime, got {p}")
         size = p**k
-        if size > _MAX_TABLE_SIZE:
-            raise ValueError(f"ring size p^k = {size} needs {size}x{size} operation tables; "
-                             f"the largest size allowed is {_MAX_TABLE_SIZE}")
         self.p = p
         self.k = k
         self.flavor = flavor

@@ -228,10 +228,7 @@ def coroot_values(rs: RootSystem, weight) -> list[int]:
 
 def weyl_dim(rs: RootSystem, weight) -> int:
     """Dimension of the irreducible with the given highest weight (exact)."""
-    num = 1
-    for v in coroot_values(rs, weight):
-        num *= v
-    dim, rem = divmod(num, rs.rho_product)
+    dim, rem = divmod(math.prod(coroot_values(rs, weight)), rs.rho_product)
     if rem:
         raise AssertionError(f"Weyl dimension formula did not divide exactly for {weight}")
     return dim

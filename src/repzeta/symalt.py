@@ -353,9 +353,7 @@ def wreath_tower_conditions(ells, r: int) -> WreathConditionsReport:
     r = integer(r, "tower level r", 1)
     ells = _layer_sizes(ells, r)
     log_prev = wreath_log_order(ells, r - 1)
-    big_l = 1
-    for v in ells[:r]:
-        big_l *= v
+    big_l = math.prod(ells[:r])
     lhs = log_prev / math.log(ells[r])
     growth_holds = lhs < 1.0 / r
     zeta_bound = 1.0 + 1.0 / big_l

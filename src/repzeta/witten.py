@@ -27,6 +27,7 @@ otherwise, as for E8 and F4 at large caps.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,12 +204,7 @@ def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
         raise ValueError(f"only {len(samples)} usable sample points, need >= 10")
     xs = [math.log(n) for n, _ in samples]
     ys = [math.log(rn) for _, rn in samples]
-    k = len(xs)
-    xbar = sum(xs) / k
-    ybar = sum(ys) / k
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    slope = statistics.linear_regression(xs, ys).slope
     r_cap = census.cumulative(n_max)
     raw = math.log(r_cap) / math.log(n_max)
     return AbscissaEstimate(slope=slope, raw_ratio=raw, sample_points=tuple(samples))

@@ -9,7 +9,6 @@ import pytest
 
 import repzeta.bounds
 from repzeta.bounds import (
-    AuditError,
     AuditRow,
     IsotropicCase,
     _class_growth,
@@ -138,11 +137,20 @@ def test_division_algebra_dichotomy_escapes_the_floor():
     assert sl1_division_abscissa(1000) < Fraction(1, 100)
 
 
-def test_audit_error_reads_the_threshold_at_call_time(monkeypatch):
-    # E8 sits at 1/15, below a threshold of 1/14
+def test_audit_verdict_reads_the_threshold_at_call_time(monkeypatch):
+    # E8 sits at 1/15, below a threshold of 1/14: the audit reports the
+    # failure, with every row, instead of raising
+    rows = isotropic_abscissa_audit(12, 12).rows
     monkeypatch.setattr(repzeta.bounds, "THRESHOLD", Fraction(1, 14))
-    with pytest.raises(AuditError, match="< 1/14"):
-        isotropic_abscissa_audit(12, 12)
+    report = isotropic_abscissa_audit(12, 12)
+    assert report.passed is False
+    assert report.threshold == Fraction(1, 14)
+    assert report.global_min == Fraction(1, 15)
+    assert report.min_cases == ("exceptional:{'type': 'E8'}",)
+    assert report.rows == rows
+    assert report.format_table().splitlines()[-1] == (
+        "global minimum 1/15 (BELOW threshold 1/14) at exceptional:{'type': 'E8'}"
+    )
 
 
 def _oracle_fallback(types):

@@ -6,9 +6,12 @@ import hashlib
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
+import repzeta.bounds
+import repzeta.cli
 from repzeta import symalt
 from repzeta.cli import main
 from repzeta.euler import ARCHIMEDEAN_TAIL_TOLERANCE
@@ -203,6 +206,45 @@ def test_bounds_audit_subcommand(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["global_min"] == "1/15"
     assert payload["passed"] is True
+
+
+def _written_with_manifest(out):
+    """The payload at out, after checking that its manifest names its bytes."""
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["output_sha256"] == digest
+    return out.read_text()
+
+
+def test_bounds_audit_fail_writes_its_report_and_exits_1(tmp_path, capsys, monkeypatch):
+    # E8 sits at 1/15, below a threshold of 1/14
+    monkeypatch.setattr(repzeta.bounds, "THRESHOLD", Fraction(1, 14))
+    out = tmp_path / "audit.json"
+    assert main(["bounds-audit", "--x-max", "8", "--md-max", "8", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("global min >= 1/14: FAIL (min = 1/15 at ")
+    payload = json.loads(_written_with_manifest(out))
+    assert payload["passed"] is False
+    assert payload["threshold"] == "1/14"
+    assert payload["global_min"] == "1/15"
+
+
+def test_probe_fail_writes_its_report_and_exits_1(tmp_path, capsys):
+    # no odd prime lies in (114, 126], so the product does not move
+    out = tmp_path / "probe.json"
+    argv = ["probe", "--s", "2.0", "--schedule", "114,126", "--out", str(out)]
+    assert main(argv) == 1
+    assert "strictly increasing: FAIL" in capsys.readouterr().out
+    payload = json.loads(_written_with_manifest(out))
+    assert payload["prime_bounds"] == [114, 126]
+    assert payload["strictly_increasing"] is False
+
+
+def test_alt_index_fail_writes_the_census_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(repzeta.cli, "index_two_count_inequality", lambda sym, alt: False)
+    out = tmp_path / "a5.csv"
+    assert main(["alt", "--k", "5", "--check-index", "--out", str(out)]) == 1
+    assert "index-2 count inequalities: FAIL" in capsys.readouterr().out
+    assert _written_with_manifest(out).splitlines()[0] == "degree,multiplicity,cumulative"
 
 
 def test_alt_subcommand(capsys):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -420,6 +421,22 @@ def test_ring_size_bound_keeps_int32_products_exact():
         for p, k in ((3, 7), (2053, 1)):
             with pytest.raises(ValueError, match="largest size allowed is 2048"):
                 QuotientRing(p, k, flavor)
+
+
+@pytest.mark.parametrize("p,k,remedy", [
+    (3, 7, "the largest level within it at p = 3 is k = 6"),
+    (13, 3, "the largest level within it at p = 13 is k = 2"),
+    # 3^(10^6) has more digits than int-to-str conversion allows
+    (3, 10**6, "the largest level within it at p = 3 is k = 6"),
+    # a prime: trial division up to its square root takes about a second
+    (10**14 + 31, 1, "no level at p = 100000000000031 is within it"),
+])
+def test_ring_size_is_refused_before_p_is_factored_or_p_to_the_k_formed(p, k, remedy):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="largest size allowed is 2048") as exc:
+        QuotientRing(p, k)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value).endswith(remedy)
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
