@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterator, Mapping
 
-from .errors import integer
+from .errors import integer, integers
 
 CHUNK = 4096  # rows the writers format per % call
 
@@ -46,15 +46,14 @@ class DegreeCensus:
     @classmethod
     def from_counts(cls, counts: Mapping[int, int], cap: int) -> "DegreeCensus":
         cap = integer(cap, "census cap", 1)
-        degrees = sorted([integer(d, "degree") for d in counts])
-        mults = []
-        for d in degrees:
-            m = integer(counts[d], "multiplicity")
+        degrees = sorted(integers(counts, "degree"))
+        mults = integers(list(map(counts.__getitem__, degrees)), "multiplicity")
+        for d in degrees[:1] + degrees[-1:]:  # the least and the largest
             if d < 1 or d > cap:
                 raise ValueError(f"degree {d} outside [1, {cap}]")
-            if m < 1:
-                raise ValueError(f"multiplicity for degree {d} must be >= 1, got {m}")
-            mults.append(m)
+        if mults and min(mults) < 1:
+            d, m = next((d, m) for d, m in zip(degrees, mults) if m < 1)
+            raise ValueError(f"multiplicity for degree {d} must be >= 1, got {m}")
         return cls(cap=cap, degrees=tuple(degrees), multiplicities=tuple(mults))
 
     def __len__(self) -> int:

@@ -1,6 +1,7 @@
 """Shared exception types, and `integer`, the check of every scalar integer
 parameter: a numpy integer comes back as a Python int, and a float or a
 numeric string is a ValueError naming the parameter, never truncated or parsed.
+`integers` is the same check over a sequence, in one pass.
 """
 
 import operator
@@ -24,3 +25,12 @@ def integer(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def integers(values, name: str) -> list[int]:
+    """Each of a collection's values as a Python int, or the ValueError of
+    `integer` for the first that is not."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        return [integer(value, name) for value in values]

@@ -8,15 +8,23 @@ in both, and a is a unit exactly when a % p != 0).  Either ring is its
 addition and multiplication tables over the encoded elements; only filling
 them depends on the flavor.
 
-A matrix (a, b, c, d) of SL2 has the key (a m + b) m + (c if a is a unit
-else d), m = p^k: (a, b, c) fixes d = a^-1 (1 + bc) when a is a unit, and
-(a, b, d) fixes c when it is not, as b is then a unit.  So the pairs (a, b)
-not both nonunits, times a free third entry, are the m^3 (1 - 1/p^2) = |SL2|
-keys, enumerated in order.  An element's index is its key less m for each of
-the ceil(a/p) m/p + [p | a] ceil(b/p) nonunit pairs below (a, b).  A build
-raises unless the elements solve ad - bc = 1, number the predicted order and
-have the indices 0, 1, ..., n - 1 (so they are distinct).  Left
-multiplication by each generator g acts on them as an index permutation L_g.
+A matrix (a, b, c, d) of SL2 is held as its packed columns u = a m + c and
+v = b m + d, m = p^k.  Its key is (a m + b) m + (c if a is a unit else d):
+(a, b, c) fixes d = a^-1 (1 + bc) when a is a unit, and (a, b, d) fixes c
+when it is not, as b is then a unit.  So the pairs (a, b) not both nonunits,
+times a free third entry, are the m^3 (1 - 1/p^2) = |SL2| keys, enumerated
+in order.  An element's index is its key less m for each of the
+ceil(a/p) m/p + [p | a] ceil(b/p) nonunit pairs below (a, b); by column, it
+is P[u] + Q[F[u] + v], in int32 tables of m^2 or 2 m^2 entries:
+P[a m + c] = (a m - ceil(a/p) m/p) m + [a unit] c, F[u] = m^2 if a is a unit
+and 0 if not, and Q holds (b - ceil(b/p)) m + d at b m + d and b m at
+m^2 + b m + d.  Any two columns index an element of a's block, which is
+theirs exactly when both columns match it.  A build raises unless the
+elements solve ad - bc = 1, number the predicted order (below 2^31, for
+int32 indices) and have the indices 0, 1, ..., n - 1 (so they are distinct).
+Left multiplication by g acts on each column alone, through the table
+T_g[x m + y] of g (x, y)^T packed the same way; the index of (T_g[u], T_g[v]),
+checked against both columns, gives the index permutation L_g.
 The generators generate the group exactly when the orbit H x0 of one element
 x0 under the L_g, H the subgroup they generate, is all of it: every left
 coset has |H| elements, so n / |H x0| counts the cosets, and it must be 1.
@@ -32,10 +40,10 @@ every layer and hence the whole group.
 
 Conjugation by g is composed from permutations that were each checked:
 g x g^-1 = L_g(iota(L_g(iota(x)))), where iota is the inversion
-x -> (d, -b, -c, a), indexed the same way, so its permutation is
-L_g[iota[L_g[iota]]], three gathers.  The orbits of these permutations,
-their connected components, are the conjugacy classes, each represented by
-its least index.
+x -> (d, -b, -c, a), whose packed columns (d m + (-c), (-b) m + a) are
+indexed and checked the same way, so its permutation is L_g[iota[L_g[iota]]],
+three gathers.  The orbits of these permutations, their connected
+components, are the conjugacy classes, each represented by its least index.
 
 That element is also the class's lexicographically least.  A class that is
 not scalar mod p holds an element with a = 0: a cyclic vector of x, lifted
@@ -51,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -60,6 +67,7 @@ from .numtheory import prime_power
 
 DEFAULT_GROUP_BUDGET = 200_000
 _MAX_TABLE_SIZE = 2048  # the size*size operation tables, and their int32 indices
+_MAX_ORDER = 2**31 - 1  # int32 element indices
 
 Matrix = tuple[int, int, int, int]
 
@@ -148,64 +156,94 @@ def _sl2_order(p: int, k: int) -> int:
 
 @dataclass
 class FiniteMatrixGroup:
-    """SL2 over a ring as its table: the four int32 entry columns (a, b, c, d),
-    in key order, so an element's row is its index.  `left[i]` is the
-    certified int32 index permutation x -> generators[i] x, and `inverse`
-    the one of x -> x^-1."""
+    """SL2 over a ring as its table: the two int32 packed columns (u, v), in
+    key order, so an element's row is its index, and the index tables
+    (P, F, Q).  `left[i]` is the certified int32 index permutation
+    x -> generators[i] x, and `inverse` the one of x -> x^-1."""
 
     ring: QuotientRing
     generators: tuple[Matrix, ...]
-    cols: tuple[np.ndarray, ...] = field(repr=False)
-    left: tuple[np.ndarray, ...] = field(repr=False)
-    inverse: np.ndarray = field(repr=False)
+    packed: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    left: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.cols[0])
+        return len(self.packed[0])
+
+    @property
+    def cols(self):
+        """The four int32 entry columns (a, b, c, d)."""
+        (a, c), (b, d) = (np.divmod(x, self.ring.size) for x in self.packed)
+        return a, b, c, d
+
+    def index(self, u, v):
+        """Index, as int32, of each element given as packed columns (off SL2, another's)."""
+        p, f, q = self.tables
+        return p[u] + q[f[u] + v]
+
+    def locate(self, image, name: str):
+        """Index of each element given as packed columns, which raises unless
+        both columns are those of the element at that index."""
+        idx = self.index(*image)
+        if not all(np.array_equal(col[idx], x) for col, x in zip(self.packed, image)):
+            raise AssertionError(f"{name} maps some element outside the set")
+        return idx
+
+    def left_permutation(self, g: Matrix):
+        """Index permutation x -> g x, through T_g on each packed column."""
+        t = _left_table(self.ring, g)
+        return self.locate(tuple(t[x] for x in self.packed), f"x -> {g} x")
 
 
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
     """Enumerate SL2 over the ring and certify its elementary generators.
 
     The elements are the solutions of ad - bc = 1, enumerated in key order
-    as their entry columns.  The build raises unless they number exactly the
+    as their packed columns.  The build raises unless they number exactly the
     predicted order and are distinct, which certifies completeness.  The
     generators are E12(1), E21(1) and, when k > 1, E12(pi); left
     multiplication by them must map the elements onto themselves, and the
     orbit of the element at index 0 under it must be the whole group: the
     n / |H x0| left cosets of the subgroup H they generate must be one, which
     certifies that they generate the group.  Each image's index, in those and
-    in the inversion permutation, is read off its entries.
+    in the inversion permutation, is read off its packed columns.  An order
+    of 2^31 or more is refused before anything is enumerated.
     """
     max_order = integer(max_order, "max_order", 1)
     order = predicted_order(ring)
-    if order > max_order:
+    limit = min(max_order, _MAX_ORDER)
+    if order > limit:
         k = 0
-        while _sl2_order(ring.p, k + 1) <= max_order:
+        while _sl2_order(ring.p, k + 1) <= limit:
             k += 1
         remedy = (f"the largest level within it at p = {ring.p} is k = {k} "
                   f"(order {_sl2_order(ring.p, k)})" if k else
                   f"no level at p = {ring.p} is within it")
+        over = (f"the budget of {max_order}" if limit == max_order else
+                f"the int32 index limit of {_MAX_ORDER}")
         raise BudgetExceededError(
-            f"SL2 over {ring.label()} has order {order}, over the budget of {max_order}; {remedy}"
+            f"SL2 over {ring.label()} has order {order}, over {over}; {remedy}"
         )
-    cols = _sl2_elements(ring)
-    if len(cols[0]) != order:
+    group = FiniteMatrixGroup(ring, _elementaries(ring), _sl2_elements(ring), _index_tables(ring))
+    if group.order != order:
         raise AssertionError(
-            f"enumeration over {ring.label()} found {len(cols[0])} elements, expected {order}"
+            f"enumeration over {ring.label()} found {group.order} elements, expected {order}"
         )
-    gens = _elementaries(ring)
-    # each image is a call argument, so its columns are freed before the next is built
-    left = tuple(_permutation(ring, cols, _image(ring, g, cols), f"x -> {g} x") for g in gens)
-    a, b, c, d = cols
-    inverse = _permutation(ring, cols, (d, ring.neg(b), ring.neg(c), a), "x -> x^-1")
-    cosets = order // _orbit_size(left)
+    if not np.array_equal(group.index(*group.packed), np.arange(order)):
+        raise AssertionError(f"enumeration over {ring.label()} is not in index order")
+    group.left = tuple(group.left_permutation(g) for g in group.generators)
+    (u, v), m = group.packed, ring.size
+    group.inverse = group.locate((v % m * m + ring.neg(u % m), ring.neg(v // m) * m + u // m),
+                                 "x -> x^-1")
+    cosets = order // _orbit_size(group.left)
     if cosets != 1:
         raise AssertionError(
-            f"the {len(gens)} elementaries over {ring.label()} leave {cosets} left orbits, "
-            "so they do not generate SL2"
+            f"the {len(group.generators)} elementaries over {ring.label()} leave {cosets} "
+            "left orbits, so they do not generate SL2"
         )
-    return FiniteMatrixGroup(ring=ring, generators=gens, cols=cols, left=left, inverse=inverse)
+    return group
 
 
 @dataclass(frozen=True)
@@ -229,9 +267,10 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     the classes are listed in the order of their representatives.
     """
     labels = _orbit_labels(_conjugations(group))
-    roots, sizes = np.unique(labels, return_counts=True)
-    return ConjugacyClasses(representatives=tuple(_tuples(col[roots] for col in group.cols)),
-                            sizes=tuple(sizes.tolist()))
+    roots = np.flatnonzero(labels == np.arange(len(labels), dtype=np.int32))
+    (a, c), (b, d) = (np.divmod(x[roots], group.ring.size) for x in group.packed)
+    return ConjugacyClasses(representatives=tuple(_tuples((a, b, c, d))),
+                            sizes=tuple(np.bincount(labels)[roots].tolist()))
 
 
 def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
@@ -242,54 +281,53 @@ def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
 
 
 def _sl2_elements(ring: QuotientRing):
-    """Every solution of ad - bc = 1, as four entry columns in key order.
+    """Every solution of ad - bc = 1, as its two packed columns in key order.
 
     The pairs (a, b) that are not both nonunits, in order, each with t over
-    the ring.  With a a unit, c = t and d = a^-1 (1 + bc); with a a nonunit,
-    b is a unit, d = t and c = b^-1 (ad - 1).
+    the ring.  The entry that t does not fill is z + w t, one row of the
+    multiplication table and one addition per pair: with a a unit, c = t and
+    d = a^-1 + (a^-1 b) t; with a a nonunit, b is a unit, d = t and
+    c = -b^-1 + (b^-1 a) t.
     """
-    r = np.arange(ring.size, dtype=np.int32)
-    a, b = (x.ravel() for x in np.meshgrid(r, r, indexing="ij"))
-    pairs = (a % ring.p != 0) | (b % ring.p != 0)
-    a, b = (np.repeat(x[pairs], ring.size) for x in (a, b))
-    t = np.tile(r, np.count_nonzero(pairs))
-    unit = a % ring.p != 0
-    c = np.where(unit, t, ring.mul(ring.inv(b), ring.add(ring.mul(a, t), ring.neg(1))))
-    d = np.where(unit, ring.mul(ring.inv(a), ring.add(1, ring.mul(b, t))), t)
-    if not np.all(ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 1):
+    p, m = ring.p, ring.size
+    r = np.arange(m, dtype=np.int32)
+    a, b = np.divmod(np.arange(m * m, dtype=np.int32), m)
+    pairs = (a % p != 0) | (b % p != 0)
+    a, b = a[pairs], b[pairs]
+    unit = a % p != 0
+    inv = ring.inv(np.where(unit, a, b))
+    z = np.where(unit, inv, ring.neg(inv))
+    w = ring.mul(inv, np.where(unit, b, a))
+    other = ring.add(z[:, None], ring.mul(w[:, None], r))
+    c = np.where(unit[:, None], r, other)
+    d = np.where(unit[:, None], other, r)
+    if not np.all(ring.add(ring.mul(a[:, None], d), ring.neg(ring.mul(b[:, None], c))) == 1):
         raise AssertionError(f"enumeration over {ring.label()} produced ad - bc != 1")
-    if not np.array_equal(_index(ring, (a, b, c, d)), np.arange(len(a))):
-        raise AssertionError(f"enumeration over {ring.label()} is not in index order")
-    return a, b, c, d
+    c += (a * m)[:, None]
+    d += (b * m)[:, None]
+    return c.ravel(), d.ravel()
+
+
+def _index_tables(ring: QuotientRing):
+    """P, F and Q of the module docstring, as int32: an index is P[u] + Q[F[u] + v]."""
+    p, m = ring.p, ring.size
+    r = np.arange(m, dtype=np.int64)
+    unit, ceil = r % p != 0, (r + p - 1) // p
+    P = ((r * m - ceil * (m // p)) * m)[:, None] + np.outer(unit, r)
+    F = np.repeat(unit * m * m, m)
+    Q = np.concatenate(((((r - ceil) * m)[:, None] + r).ravel(), np.repeat(r * m, m)))
+    return tuple(x.ravel().astype(np.int32) for x in (P, F, Q))
+
+
+def _left_table(ring: QuotientRing, g: Matrix):
+    """T_g: g (x, y)^T packed as (g0 x + g1 y) m + (g2 x + g3 y), at x m + y."""
+    r = np.arange(ring.size, dtype=np.int32)
+    g0, g1, g2, g3 = (ring.mul(e, r) for e in g)
+    return (ring.add(g0[:, None], g1) * ring.size + ring.add(g2[:, None], g3)).ravel()
 
 
 def _tuples(cols) -> list[Matrix]:
     return list(zip(*(col.tolist() for col in cols)))
-
-
-def _image(ring: QuotientRing, g: Matrix, cols):
-    """Entry columns of g x for every x: entry (i, j) is g_i0 x_0j + g_i1 x_1j."""
-    image = []
-    for i in (0, 1):
-        for j in (0, 1):
-            pairs = ((g[2 * i + k], cols[2 * k + j]) for k in (0, 1))
-            terms = (x if c == 1 else ring.mul(c, x) for c, x in pairs if c)
-            image.append(reduce(ring.add, terms))
-    return image
-
-
-def _index(ring: QuotientRing, cols):
-    """Index in the enumeration, as int64, of each element given as four entry
-    columns: its key less m = p^k for each pair of nonunits below (a, b) (see
-    the module docstring).  Off SL2 it may be out of range or another's."""
-    a, b, c, d = cols
-    p, m = ring.p, ring.size
-    unit = a % p != 0
-    index = a.astype(np.int64) * m + b
-    index -= (a + p - 1) // p * (m // p) + np.where(unit, 0, (b + p - 1) // p)
-    index *= m
-    index += np.where(unit, c, d)
-    return index
 
 
 def _conjugations(group: FiniteMatrixGroup) -> list[np.ndarray]:
@@ -341,22 +379,6 @@ def _orbit_size(perms) -> int:
         frontier = np.flatnonzero(new ^ reached)
         reached = new
     return int(np.count_nonzero(reached))
-
-
-def _permutation(ring: QuotientRing, cols, image, name: str):
-    """Index, as int32, of each image element, given as four entry columns,
-    among the group's elements `cols`.
-
-    An image whose index is out of range, or whose four entries differ from
-    those of the element at its index, raises; the second test catches an
-    image off SL2, whose index may be an element's.
-    """
-    n = len(cols[0])
-    idx = _index(ring, image)
-    found = (idx < n).all() and all(np.array_equal(col[idx], x) for col, x in zip(cols, image))
-    if not found:
-        raise AssertionError(f"{name} maps some element outside the set")
-    return idx.astype(np.int32)
 
 
 def class_growth_exponents(counts: dict[int, int], q: int) -> list[float]:

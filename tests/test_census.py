@@ -1,11 +1,15 @@
 """The Dirichlet sums of a degree census: float and exact."""
 
+import re
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repzeta.census import DegreeCensus
+from repzeta.errors import integers
 
 degree_counts = st.dictionaries(
     st.integers(min_value=1, max_value=10**25), st.integers(min_value=1, max_value=10**6),
@@ -35,3 +39,24 @@ def test_direct_construction_sets_the_running_totals():
     assert [census.cumulative(n) for n in range(10)] == [0, 2, 2, 7, 7, 7, 7, 7, 8, 8]
     assert census.total_multiplicity() == 8
     assert census == DegreeCensus.from_counts({1: 2, 3: 5, 8: 1}, 10)
+
+
+def test_from_counts_checks_every_entry_in_bulk():
+    census = DegreeCensus.from_counts({np.int64(8): np.int32(1), 1: 2, np.int32(3): 5}, 10)
+    assert census == DegreeCensus.from_counts({1: 2, 3: 5, 8: 1}, 10)
+    assert all(type(x) is int for x in census.degrees + census.multiplicities)
+    assert DegreeCensus.from_counts({}, 3).degrees == ()
+    for counts, message in (({1: 1, 4.0: 2}, "degree must be an integer, got 4.0"),
+                            ({1: 1, 4: "2"}, "multiplicity must be an integer, got '2'"),
+                            ({0: 1, 4: 2}, "degree 0 outside [1, 10]"),
+                            ({1: 1, 11: 2}, "degree 11 outside [1, 10]"),
+                            ({1: 1, 4: 0, 7: -1}, "multiplicity for degree 4 must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DegreeCensus.from_counts(counts, 10)
+
+
+def test_integers_names_the_first_value_that_is_not_an_integer():
+    assert integers([np.int64(3), True, 7], "n") == [3, 1, 7]
+    assert [type(x) for x in integers((np.int32(3), 4), "n")] == [int, int]
+    with pytest.raises(ValueError, match=re.escape("n must be an integer, got 2.5")):
+        integers([1, 2.5, "3"], "n")

@@ -87,9 +87,8 @@ def test_larger_levels_match_the_closed_form(p, k, flavor):
 
 
 def _left_orbit_count(ring, generators):
-    cols = fq._sl2_elements(ring)
-    left = [fq._permutation(ring, cols, fq._image(ring, g, cols), f"x -> {g} x")
-            for g in generators]
+    group = build_sl2_group(ring)
+    left = [group.left_permutation(g) for g in generators]
     return len(set(fq._orbit_labels(left).tolist()))
 
 
@@ -108,12 +107,10 @@ def test_orbit_walk_counts_the_cosets_the_orbit_labels_count(flavor, p, k):
     # n / |H x0| against the number of left orbits, each labelled by its
     # least index.  The first two elementaries generate only SL2(F_p) over
     # F_p[t]/(t^k), of index p^(3k - 3).
-    ring = QuotientRing(p, k, flavor)
-    cols = fq._sl2_elements(ring)
+    group = build_sl2_group(QuotientRing(p, k, flavor))
     for count, expected in ((None, 1), (2, p ** (3 * k - 3) if flavor == "charp" else 1)):
-        left = [fq._permutation(ring, cols, fq._image(ring, g, cols), f"x -> {g} x")
-                for g in fq._elementaries(ring)[:count]]
-        cosets = len(cols[0]) // fq._orbit_size(left)
+        left = [group.left_permutation(g) for g in group.generators[:count]]
+        cosets = group.order // fq._orbit_size(left)
         assert cosets == len(set(fq._orbit_labels(left).tolist())) == expected
 
 
@@ -192,21 +189,27 @@ def test_build_certifies_generation_without_labelling_orbits(monkeypatch):
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
 def test_orbit_labels_reject_an_image_outside_the_group(flavor, monkeypatch):
     ring = QuotientRing(3, 2, flavor)
-    cols = fq._sl2_elements(ring)
-    n = len(cols[0])
-    # diag(2, 1) x has a valid pair (2a, 2b) and determinant 2; diag(3, 1) x
-    # has a and b nonunits, and its closed-form index lands on an element of
-    # another pair.  Every index is in range, so only comparing all four
-    # entries catches either.
-    a, b, c, d = image = fq._image(ring, (2, 0, 0, 1), cols)
-    assert ((a % 3 != 0) | (b % 3 != 0)).all()
-    assert (ring.add(ring.mul(a, d), ring.neg(ring.mul(b, c))) == 2).all()
-    assert (fq._index(ring, image) < n).all()
-    a, b, _, _ = image = fq._image(ring, (3, 0, 0, 1), cols)
-    assert ((a % 3 == 0) & (b % 3 == 0)).all()
-    idx = fq._index(ring, image)
-    assert (idx < n).all()
-    assert ((cols[0][idx] != a) | (cols[1][idx] != b)).all()
+    group = build_sl2_group(ring)
+    u, v = group.packed
+    a, b, c, d = group.cols
+    # diag(2, 1) x has a valid pair (2a, 2b) and determinant 2; with a a
+    # unit, the element at its index shares its first column (2a, c) and
+    # differs only in d, so only the second column catches it.  diag(3, 1) x
+    # has a and b nonunits, and its index lands on an element of another
+    # pair.  No index is out of range.
+    m = ring.size
+    unit = a % 3 != 0
+    image = tuple(fq._left_table(ring, (2, 0, 0, 1))[x[unit]] for x in (u, v))
+    assert (ring.add(ring.mul(image[0] // m, image[1] % m),
+                     ring.neg(ring.mul(image[1] // m, image[0] % m))) == 2).all()
+    idx = group.index(*image)
+    assert np.array_equal(u[idx], image[0]) and (v[idx] != image[1]).all()
+    with pytest.raises(AssertionError, match=re.escape("x -> y maps some element outside the set")):
+        group.locate(image, "x -> y")
+    t = fq._left_table(ring, (3, 0, 0, 1))
+    idx = group.index(t[u], t[v])
+    assert (t[u] // m % 3 == 0).all() and (t[v] // m % 3 == 0).all()
+    assert ((a[idx] != t[u] // m) | (b[idx] != t[v] // m)).all()
     for g in ((2, 0, 0, 1), (3, 0, 0, 1)):
         monkeypatch.setattr(fq, "_elementaries", lambda ring: (g,))
         with pytest.raises(AssertionError,
@@ -256,12 +259,14 @@ def test_index_inverts_the_enumeration(flavor, p, k):
     # The enumeration is SL2 in key order, and the closed-form index of its
     # i-th element is i.
     ring = QuotientRing(p, k, flavor)
-    cols = fq._sl2_elements(ring)
+    packed = fq._sl2_elements(ring)
     reference = _sl2_by_scan(ring)
-    assert len(cols[0]) == predicted_order(ring)
-    assert all(np.array_equal(col, ref) for col, ref in zip(cols, reference))
-    index = fq._index(ring, cols)
-    assert index.dtype == np.int64
+    assert len(packed[0]) == predicted_order(ring)
+    group = build_sl2_group(ring)
+    assert all(np.array_equal(x, y) for x, y in zip(group.packed, packed))
+    assert all(np.array_equal(col, ref) for col, ref in zip(group.cols, reference))
+    index = group.index(*packed)
+    assert index.dtype == np.int32
     assert np.array_equal(index, np.arange(predicted_order(ring)))
 
 
@@ -274,7 +279,8 @@ def test_group_keeps_its_sorted_table(flavor):
     assert all(col.dtype == np.int32 for col in group.cols)
     keys = (a * m + b) * m + np.where(a % 3 != 0, c, d)
     assert (np.diff(keys) > 0).all()
-    assert np.array_equal(fq._index(ring, group.cols), np.arange(group.order))
+    assert np.array_equal(group.index(*group.packed), np.arange(group.order))
+    assert all(x.dtype == np.int32 for x in (*group.packed, *group.tables))
     assert group.order == len(set(fq._tuples(group.cols))) == 648
     assert all(perm.dtype == np.int32 for perm in (*group.left, group.inverse))
     assert len(build_sl2_group(QuotientRing(3, 1, flavor)).generators) == 2
@@ -284,6 +290,47 @@ def test_group_keeps_its_sorted_table(flavor):
     for g, left in zip(group.generators, group.left):
         assert np.array_equal(np.sort(left), np.arange(group.order))
         assert left.tolist() == [index_of(_matmul(ring, g, x)) for x in elements]
+
+
+def _random_elements(group, count, seed):
+    idx = np.random.default_rng(seed).integers(group.order, size=count)
+    return fq._tuples(col[idx] for col in group.cols)
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 1)])
+def test_left_table_is_the_product_on_every_column_vector(flavor, p, k):
+    ring = QuotientRing(p, k, flavor)
+    group = build_sl2_group(ring)
+    m = ring.size
+    for g in group.generators + tuple(_random_elements(group, 4, seed=p * k)):
+        table = fq._left_table(ring, g).tolist()
+        assert len(table) == m * m
+        for x in range(m):
+            for y in range(m):
+                first, _, second, _ = _matmul(ring, g, (x, 0, y, 0))
+                assert table[x * m + y] == first * m + second
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_left_permutations_by_random_elements_match_the_matrix_product(flavor):
+    ring = QuotientRing(3, 2, flavor)
+    group = build_sl2_group(ring)
+    index_of = _index_of(group)
+    elements = fq._tuples(group.cols)
+    for g in _random_elements(group, 5, seed=32):
+        left = group.left_permutation(g)
+        assert left.dtype == np.int32
+        assert left.tolist() == [index_of(_matmul(ring, g, x)) for x in elements]
+
+
+def test_orders_of_two_to_the_31_are_refused_before_enumerating():
+    # 11^7 (11^2 - 1) = 2,338,460,520 is within the budget but not int32
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="over the int32 index limit of 2147483647; "
+                       "the largest level within it at p = 11 is k = 2"):
+        build_sl2_group(QuotientRing(11, 3), max_order=10**10)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])
@@ -428,7 +475,7 @@ def test_ring_size_bound_keeps_int32_products_exact():
     (13, 3, "the largest level within it at p = 13 is k = 2"),
     # 3^(10^6) has more digits than int-to-str conversion allows
     (3, 10**6, "the largest level within it at p = 3 is k = 6"),
-    # a prime: trial division up to its square root takes about a second
+    # a prime: refused by its size, before it is tested
     (10**14 + 31, 1, "no level at p = 100000000000031 is within it"),
 ])
 def test_ring_size_is_refused_before_p_is_factored_or_p_to_the_k_formed(p, k, remedy):

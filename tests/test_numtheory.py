@@ -1,10 +1,14 @@
 """The odd-prime sieve and the prime-power test against a plain sieve, and
 their integer check."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
 from repzeta.numtheory import odd_primes_up_to, prime_power
+from repzeta.sl2local import sl2_local_zeta
 
 
 def test_sieve_matches_a_plain_sieve(odd_primes_by_sieve):
@@ -23,6 +27,49 @@ def test_prime_power_matches_the_sieve(odd_primes_by_sieve):
             q, e = q * p, e + 1
     for m in range(-3, n + 1):
         assert prime_power(m) == expected.get(m), m
+
+
+def _prime_power_by_trial_division(n):
+    if n < 2:
+        return None
+    p = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for n in range(-3, 20_000):
+        assert prime_power(n) == _prime_power_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("p", [10_000_019, 10**12 + 39])
+def test_prime_power_of_a_prime_above_the_trial_bound(p):
+    for e in range(1, 7):
+        assert prime_power(p**e) == (p, e)
+        assert prime_power(3 * p**e) is None
+    assert prime_power(p * 1009) is None  # two primes above the bound
+    assert prime_power(p * (p + 2)) is None
+    assert prime_power(1009 * 1013) is None
+    assert prime_power(3**100) == (3, 100)  # found by trial division
+
+
+def test_prime_power_refuses_a_root_it_cannot_test():
+    # 13 Miller-Rabin bases are exact below 3317044064679887385961981: the
+    # largest prime below it is tested, a square above it has its root
+    # tested, and the prime 2^89 - 1 above it is refused
+    assert prime_power(3317044064679887385961813) == (3317044064679887385961813, 1)
+    assert prime_power((10**13 + 37) ** 2) == (10**13 + 37, 2)
+    with pytest.raises(ValueError, match="exact only below 3317044064679887385961981"):
+        prime_power(2**89 - 1)
+
+
+def test_local_factor_at_a_large_prime_takes_no_trial_division_to_its_root():
+    start = time.perf_counter()
+    sl2_local_zeta(10**14 + 31, 2.0)
+    assert time.perf_counter() - start < 0.02
 
 
 @pytest.mark.parametrize("call", [prime_power, odd_primes_up_to])
