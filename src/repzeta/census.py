@@ -77,11 +77,17 @@ class DegreeCensus:
 
     def zeta(self, s: float) -> float:
         """Dirichlet sum of multiplicity * degree^(-s), added in ascending degree
-        order, one term at a time (float sum() is compensated from Python 3.12)."""
+        order, one term at a time (float sum() is compensated from Python 3.12);
+        ValueError if it is not a finite float, as when a power overflows."""
         total = 0.0
-        for d, m in self.items():
-            total += m * d ** (-s)
-        return total
+        try:
+            for d, m in self.items():
+                total += m * d ** (-s)
+        except OverflowError:
+            total = math.inf
+        if math.isfinite(total):
+            return total
+        raise ValueError(f"zeta at s={s} is not finite: largest degree {self.max_degree()}")
 
     def zeta_exact(self, s: int) -> Fraction:
         """The same sum as an exact rational, at an integer s >= 0.

@@ -3,11 +3,10 @@
 Subcommands mirror the library: witten (dimension census / abscissa), local
 (exact SL2 local factor), census (brute-force finite quotients), bounds-audit
 (exact rational audit), alt (alternating-group degrees), euler (global
-partial product), probe (divergence probe).  Every --out write also produces
-a <out>.manifest.json recording the subcommand, parameters, package version
-and output checksum; identical manifests mean byte-identical outputs.  A
-command exits 1 exactly when it prints a FAIL verdict, after any --out write,
-and 2 on a rejected precondition.
+partial product), probe (divergence probe).  A command returns its printed
+verdict (True if none) and its --out writer.  Only `main` writes --out, with a
+<out>.manifest.json of the subcommand, parameters, version and SHA-256, and
+exits 1 exactly on a printed FAIL verdict, 2 on a rejected precondition.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _cmd_witten(args) -> int:
+def _cmd_witten(args):
     rs = build_root_system(args.type, args.rank)
     census = dimension_census(rs, args.max_dim)
     print(f"{rs.label()}: {len(census)} distinct degrees, "
@@ -67,57 +66,51 @@ def _cmd_witten(args) -> int:
               f"exact rank/kappa {rs.rank}/{rs.kappa})")
     if args.zeta is not None:
         print(f"zeta partial sum at s={_fmt(args.zeta)}: {_fmt(zeta_partial(census, args.zeta))}")
-    if args.out:
-        _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
-    return 0
+    return True, census.write_csv if args.format == "csv" else census.write_json
 
 
-def _cmd_local(args) -> int:
+def _cmd_local(args):
     if args.out and args.levels is None:
         raise ValueError("--out for the local subcommand needs --levels")
     if args.s is None and args.levels is None:
         raise ValueError("nothing to do: pass --s and/or --levels")
     if args.s is not None:
         print(f"local factor q={args.q} at s={_fmt(args.s)}: {_fmt(sl2_local_zeta(args.q, args.s))}")
-    if args.levels is not None:
-        census = sl2_degree_census(args.q, args.levels)
-        print(f"census q={args.q} level {args.levels}: {census.total_multiplicity()} classes, "
-              f"max degree {census.max_degree()}")
-        if args.out:
-            _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
-    return 0
+    if args.levels is None:
+        return True, None
+    census = sl2_degree_census(args.q, args.levels)
+    print(f"census q={args.q} level {args.levels}: {census.total_multiplicity()} classes, "
+          f"max degree {census.max_degree()}")
+    return True, census.write_csv if args.format == "csv" else census.write_json
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     ring = QuotientRing(args.p, args.k, args.ring)
     group = build_sl2_group(ring)
     classes = conjugacy_classes(group)
     print(f"SL2 over {ring.label()}: order {group.order}")
     print(f"classes: {classes.count}")
-    if args.out:
-        def write(path):
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["rep_a", "rep_b", "rep_c", "rep_d", "class_size"])
-                for rep, size in zip(classes.representatives, classes.sizes):
-                    writer.writerow(list(rep) + [size])
 
-        _write_out(args, write)
-    return 0
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rep_a", "rep_b", "rep_c", "rep_d", "class_size"])
+            for rep, size in zip(classes.representatives, classes.sizes):
+                writer.writerow(list(rep) + [size])
+
+    return True, write
 
 
-def _cmd_bounds_audit(args) -> int:
+def _cmd_bounds_audit(args):
     report = isotropic_abscissa_audit(args.x_max, args.md_max)
     print(f"global min >= {report.threshold}: {'PASS' if report.passed else 'FAIL'} "
           f"(min = {report.global_min} at {', '.join(report.min_cases)})")
     if args.verbose:
         print(report.format_table())
-    if args.out:
-        _write_out(args, lambda path: _write_json(report.to_json_dict(), path))
-    return 0 if report.passed else 1
+    return report.passed, lambda path: _write_json(report.to_json_dict(), path)
 
 
-def _cmd_alt(args) -> int:
+def _cmd_alt(args):
     census = alt_degree_census(args.k)
     print(f"A_{args.k}: {census.total_multiplicity()} irreducibles, "
           f"max degree {census.max_degree()}")
@@ -127,12 +120,10 @@ def _cmd_alt(args) -> int:
     if args.check_index:
         ok = index_two_count_inequality(sym_degree_census(args.k), census)
         print(f"index-2 count inequalities: {'PASS' if ok else 'FAIL'}")
-    if args.out:
-        _write_out(args, census.write_csv if args.format == "csv" else census.write_json)
-    return 0 if ok else 1
+    return ok, census.write_csv if args.format == "csv" else census.write_json
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args):
     cfg = EulerProductConfig(
         s=args.s, prime_bound=args.prime_bound, archimedean_exponent=args.arch_exponent
     )
@@ -145,10 +136,10 @@ def _cmd_euler(args) -> int:
     )
     print(f"global partial product (s={_fmt(args.s)}, P={args.prime_bound}, "
           f"archimedean exponent {args.arch_exponent}): {_fmt(value)}")
-    return 0
+    return True, None
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args):
     schedule = []
     for tok in filter(None, args.schedule.split(",")):
         try:
@@ -164,9 +155,8 @@ def _cmd_probe(args) -> int:
     print(f"strictly increasing: {'PASS' if report.strictly_increasing else 'FAIL'}")
     if args.s > 2:
         print("successive differences: " + ", ".join(_fmt(d) for d in report.differences))
-    if args.out:
-        _write_out(args, lambda path: _write_json(report.to_json_dict(), path))
-    return 0 if report.exceeds_comparator and report.strictly_increasing else 1
+    return (report.exceeds_comparator and report.strictly_increasing,
+            lambda path: _write_json(report.to_json_dict(), path))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,46 +166,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file; <out>.manifest.json is written beside it")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("witten", help="dimension census of a simple complex group")
+    p = sub.add_parser("witten", parents=[out, fmt],
+                       help="dimension census of a simple complex group")
     p.add_argument("--type", required=True, choices=list("ABCDEFG"))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--max-dim", required=True, type=int)
     p.add_argument("--estimate-abscissa", action="store_true")
     p.add_argument("--zeta", type=float, default=None, metavar="S")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_witten)
 
-    p = sub.add_parser("local", help="exact SL2 local factor / level census")
+    p = sub.add_parser("local", parents=[out, fmt], help="exact SL2 local factor / level census")
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--levels", type=int, default=None, metavar="K")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_local)
 
-    p = sub.add_parser("census", help="brute-force conjugacy census of a finite quotient")
+    p = sub.add_parser("census", parents=[out],
+                       help="brute-force conjugacy census of a finite quotient")
     p.add_argument("group", choices=["sl2"])
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--ring", choices=["char0", "charp"], default="char0")
-    p.add_argument("--out", default=None, help="CSV of class representatives")
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("bounds-audit", help="exact rational audit of the abscissa bounds")
+    p = sub.add_parser("bounds-audit", parents=[out],
+                       help="exact rational audit of the abscissa bounds")
     p.add_argument("--x-max", type=int, default=50)
     p.add_argument("--md-max", type=int, default=50)
     p.add_argument("--verbose", action="store_true", help="print the full table")
-    p.add_argument("--out", default=None, help="JSON report")
     p.set_defaults(func=_cmd_bounds_audit)
 
-    p = sub.add_parser("alt", help="alternating group degree census")
+    p = sub.add_parser("alt", parents=[out, fmt], help="alternating group degree census")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--check-index", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_alt)
 
     p = sub.add_parser("euler", help="global partial Euler product")
@@ -227,24 +216,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acknowledge-divergence", action="store_true")
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("probe", help="divergence probe over a prime-bound schedule")
+    p = sub.add_parser("probe", parents=[out], help="divergence probe over a prime-bound schedule")
     p.add_argument("--s", required=True, type=float)
     p.add_argument("--schedule", default="100,1000,10000,100000",
                    help="comma-separated strictly increasing prime bounds")
-    p.add_argument("--out", default=None, help="JSON report")
     p.set_defaults(func=_cmd_probe)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        passed, write = args.func(args)
+        if getattr(args, "out", None):  # euler has no --out
+            _write_out(args, write)
     except (ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

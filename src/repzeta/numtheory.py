@@ -6,12 +6,17 @@ import math
 
 import numpy as np
 
-from .errors import integer
+from .errors import BudgetExceededError, integer
+
+MAX_SIEVE_BOUND = 10**8  # the sieve takes (n + 1) / 2 bytes, and its primes 8 bytes each
 
 
 def odd_primes_up_to(n: int) -> np.ndarray:
     """All odd primes <= n, ascending, as int64: a sieve of Eratosthenes over odd numbers."""
     n = max(integer(n, "n"), 0)  # a negative n sieves the same nothing as 0
+    if n > MAX_SIEVE_BOUND:
+        raise BudgetExceededError(f"prime bound {n} exceeds the odd-prime sieve's budget: "
+                                  f"the largest bound allowed is {MAX_SIEVE_BOUND}")
     sieve = np.ones((n + 1) // 2, dtype=bool)  # index i stands for 2i + 1
     sieve[:1] = False
     for i in range(1, (math.isqrt(n) + 1) // 2):

@@ -261,6 +261,10 @@ def perfect_group_count_bound(census: DegreeCensus, s: float, c: float) -> Perfe
         raise ValueError(f"s must be finite and positive, got {s}")
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
+    try:
+        census.cap**s  # every n**s of the walk is at most this
+    except OverflowError:
+        raise ValueError(f"n**s overflows a float at s={s} below the cap {census.cap}") from None
     tightest_n = 1
     min_slack = math.inf
     for lo, hi in zip(census.degrees, census.degrees[1:] + (census.cap + 1,)):

@@ -26,6 +26,20 @@ def test_zeta_is_the_ascending_loop_bit_for_bit(counts, s):
     assert DegreeCensus.from_counts(counts, max(counts)).zeta(s) == total
 
 
+@pytest.mark.parametrize("s", [-308.0, -309.0, float("nan"), float("-inf")])
+def test_zeta_refuses_a_sum_that_is_not_a_finite_float(s):
+    # at s = -308 the product 10**6 * 10.0**308 overflows to inf; at s = -309
+    # the power itself raises OverflowError; a NaN s makes every term NaN
+    census = DegreeCensus.from_counts({10: 10**6}, 10)
+    message = f"zeta at s={s} is not finite: largest degree 10"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        census.zeta(s)
+
+
+def test_zeta_at_infinity_counts_the_degree_one_characters():
+    assert DegreeCensus.from_counts({1: 3, 2: 5, 10: 10**6}, 10).zeta(float("inf")) == 3.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(counts=degree_counts, s=st.integers(min_value=0, max_value=4))
 def test_zeta_exact_is_the_fraction_sum(counts, s):

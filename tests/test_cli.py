@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: outputs, manifests, determinism, exit codes."""
 
+import argparse
+import ast
 import csv
 import gc
 import hashlib
 import json
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 
@@ -13,7 +16,8 @@ import pytest
 import repzeta.bounds
 import repzeta.cli
 from repzeta import symalt
-from repzeta.cli import main
+from repzeta.census import DegreeCensus
+from repzeta.cli import build_parser, main
 from repzeta.euler import ARCHIMEDEAN_TAIL_TOLERANCE
 
 
@@ -496,3 +500,70 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv,named", [
+    ("alt --k 5 --s -1000", "zeta at s=-1000.0 is not finite: largest degree 5"),
+    ("alt --k 12 --s nan", "zeta at s=nan is not finite: largest degree 5775"),
+    ("probe --s 2.0 --schedule 1000,1000000000000", "prime bound 1000000000000 exceeds"),
+    ("euler --s 2.5 --prime-bound 1000000000000", "prime bound 1000000000000 exceeds"),
+])
+def test_unrepresentable_input_exits_2_with_one_diagnostic(capsys, argv, named):
+    # an overflowing or NaN zeta and a prime bound above the sieve budget are
+    # refused, not a traceback, a printed nan or a sieve of 5e11 bytes
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_a_writer_that_raises_exits_2_and_writes_no_manifest(tmp_path, monkeypatch, capsys):
+    def refuse(self, path):
+        raise ValueError("refused by the writer")
+
+    monkeypatch.setattr(DegreeCensus, "write_csv", refuse)
+    out = tmp_path / "a5.csv"
+    assert main(["alt", "--k", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: refused by the writer\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _calls(tree, name):
+    """(enclosing top-level function or None, node) of each call of `name` or `.name`."""
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    yield where, node
+
+
+def test_out_and_format_are_declared_once_and_written_only_by_main():
+    # one declaration of each shared option, one write of --out, and every
+    # command returns (passed, write), so the exit status is picked in main
+    tree = ast.parse(pathlib.Path(repzeta.cli.__file__).read_text())
+    declared = [node.args[0].value for _, node in _calls(tree, "add_argument")
+                if node.args and isinstance(node.args[0], ast.Constant)]
+    assert declared.count("--out") == 1 and declared.count("--format") == 1
+    assert [where for where, _ in _calls(tree, "_write_out")] == ["main"]
+    commands = [top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name.startswith("_cmd_")]
+    assert len(commands) == 7
+    for command in commands:
+        returns = [node.value for node in ast.walk(command) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(value, ast.Tuple) and len(value.elts) == 2
+                               for value in returns), command.name
+
+
+def test_which_subcommands_accept_out_and_format():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {s for a in sub._actions for s in a.option_strings}
+               for name, sub in subparsers.choices.items()}
+    assert {name for name, opts in options.items() if "--out" in opts} == {
+        "witten", "local", "census", "bounds-audit", "alt", "probe"}
+    assert {name for name, opts in options.items() if "--format" in opts} == {
+        "witten", "local", "alt"}
+    with pytest.raises(SystemExit):
+        parser.parse_args(["euler", "--s", "2.5", "--prime-bound", "100", "--out", "x.csv"])

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+import repzeta.numtheory
+from repzeta.errors import BudgetExceededError
 from repzeta.numtheory import odd_primes_up_to, prime_power
 from repzeta.sl2local import sl2_local_zeta
 
@@ -81,6 +83,16 @@ def test_n_must_be_an_integer(call):
     for n in (7, 9, 20):
         expected = repr(call(n))
         assert repr(call(np.int64(n))) == repr(call(np.int32(n))) == expected
+
+
+def test_sieve_refuses_a_bound_above_its_budget(monkeypatch, odd_primes_by_sieve):
+    assert repzeta.numtheory.MAX_SIEVE_BOUND == 10**8
+    monkeypatch.setattr(repzeta.numtheory, "MAX_SIEVE_BOUND", 100)
+    assert odd_primes_up_to(100).tolist() == odd_primes_by_sieve(100)
+    for n in (101, 10**12):
+        message = f"prime bound {n} exceeds the odd-prime sieve's budget: the largest bound allowed is 100"
+        with pytest.raises(BudgetExceededError, match=message):
+            odd_primes_up_to(n)
 
 
 def test_negative_n_has_no_odd_primes():

@@ -298,6 +298,22 @@ def test_perfect_group_bound_rejects_an_exponent_that_is_not_finite(s):
         perfect_group_count_bound(census, s, 0.0)
 
 
+def test_perfect_group_bound_refuses_an_exponent_whose_powers_overflow():
+    # the A_40 cap is about 5.9e22: cap**13.5 is about 1e309 / 40, cap**14 overflows
+    census = alt_degree_census(40)
+    cap = census.cap
+    expected = {
+        0.0: (False, cap, -18737.0),
+        1.0: (True, 1, 1.0),
+        -1.0: (False, 58965081685061800034305, -2.5294797727752935e+307),
+    }
+    for c, want in expected.items():
+        res = perfect_group_count_bound(census, 13.5, c)
+        assert (res.holds, res.tightest_n, res.min_slack) == want
+        with pytest.raises(ValueError, match=f"at s=14.0 below the cap {cap}"):
+            perfect_group_count_bound(census, 14.0, c)
+
+
 def test_perfect_group_bound_requires_unique_trivial_character():
     census = sym_degree_census(5)  # two linear characters
     with pytest.raises(ValueError):
