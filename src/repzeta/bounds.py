@@ -3,15 +3,15 @@
 Two mechanisms feed the audit.  A conjugacy-growth exponent gamma for a
 group of dimension delta forces abscissa >= 2*gamma/(delta - gamma); and any
 anisotropic inner form yields abscissa >= rank/#positive-roots = 2/h of the
-absolute root system (the "torus" bound).  One integer table holds each
-isotropic family a-f: gamma's numerator and denominator, delta and the
-fallback types; G2, F4, E6, E7 and E8 are rows with no formula and one type
-each.  A row's fallback is 2/h of its first type of largest h, its value the
-larger of formula and fallback.  Rows are decided in integers: the formula
-is (2*gamma_n, delta*gamma_d - gamma_n), compared with the fallback and the
-running minimum by cross-multiplication.  Each stored value is one exact
-Fraction.  The report's `passed` is the verdict; the minimum is 1/15, at
-h = 30 only.
+absolute root system (the "torus" bound).  One integer table, read through
+one checked accessor, holds each isotropic family a-f: gamma's numerator and
+denominator, delta and the fallback types; G2, F4, E6, E7 and E8 are rows
+with no formula and one type each.  A row's fallback is 2/h of its first type
+of largest h, its value the larger of formula and fallback.  Rows are decided
+in integers: the formula is one pair (2*gamma_n, delta*gamma_d - gamma_n),
+compared with the fallback and the running minimum by cross-multiplication.
+An audit of more than MAX_AUDIT_ROWS rows is refused before its first row.
+The report's `passed` is the verdict; the minimum is 1/15, at h = 30 only.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import integer
+from .errors import BudgetExceededError, integer
 from .rootsystems import coxeter_number
 
 THRESHOLD = Fraction(1, 15)
+MAX_AUDIT_ROWS = 100_000  # a row takes about 11 us and 0.8 KB: about 1 s and 80 MB
 
 
 # Each isotropic family at its parameters: the numerator and denominator of
@@ -44,46 +45,37 @@ _FAMILIES = {
 }
 
 
+def _family(label: str, *parameters: int) -> tuple:
+    """The _FAMILIES row of one family: (m, d) for 'a', index x for 'b'..'f'."""
+    if label not in _FAMILIES:
+        raise ValueError(f"unknown isotropic case label {label!r}")
+    names = (("m", 2), ("d", 1)) if label == "a" else (("index x", 1),)
+    if len(parameters) != len(names):
+        raise ValueError(f"isotropic case {label!r} takes ({', '.join(n for n, _ in names)}), "
+                         f"got {len(parameters)} parameter(s)")
+    return _FAMILIES[label](*(integer(v, n, low) for v, (n, low) in zip(parameters, names)))
+
+
+def _formula(gamma_n: int, gamma_d: int, delta: int) -> tuple[int, int]:
+    """2*gamma/(delta - gamma) as the integer pair (p, q); q > 0, as delta > gamma."""
+    return 2 * gamma_n, delta * gamma_d - gamma_n
+
+
 def slm_class_growth_bound(m: int, d: int) -> Fraction:
     """Class-growth exponent bound for SL_m over a degree-d division ring:
     (floor((m+1)/2) * floor(m/2) * d^2 - m*d + 1) / 3."""
-    gamma_n, gamma_d, _, _ = _FAMILIES["a"](integer(m, "m", 2), integer(d, "d", 1))
-    return Fraction(gamma_n, gamma_d)
+    return Fraction(*_family("a", m, d)[:2])
 
 
-@dataclass(frozen=True)
-class IsotropicCase:
-    """One isotropic family: label 'a' with (m, d), or 'b'..'f' with index x."""
-
-    label: str
-    m: int | None = None
-    d: int | None = None
-    x: int | None = None
-
-
-def _class_growth(case: IsotropicCase) -> tuple[Fraction, int, list[tuple[str, int]]]:
-    """(gamma, delta, fallback types) of one isotropic family."""
-    lab = case.label
-    if lab not in _FAMILIES:
-        raise ValueError(f"unknown isotropic case label {lab!r}")
-    if lab == "a":
-        parameters = integer(case.m, "m", 2), integer(case.d, "d", 1)
-    else:
-        parameters = (integer(case.x, "index x", 1),)
-    gamma_n, gamma_d, delta, types = _FAMILIES[lab](*parameters)
-    return Fraction(gamma_n, gamma_d), delta, types
-
-
-def isotropic_case_bound(case: IsotropicCase) -> Fraction:
-    """Exact rational abscissa lower bound 2*gamma/(delta - gamma) for the
-    given isotropic family.
+def isotropic_case_bound(label: str, *parameters: int) -> Fraction:
+    """Exact rational abscissa lower bound 2*gamma/(delta - gamma) of one
+    isotropic family: label 'a' with (m, d), or 'b'..'f' with index x.
 
     Case (a) takes the SL_m(D) exponent with delta = m^2 d^2 - 1; cases
     (b)-(f) take the unitary/orthogonal/symplectic rows of _FAMILIES.  At
     small x gamma is negative and so is the bound.
     """
-    gamma, delta, _ = _class_growth(case)
-    return 2 * gamma / (delta - gamma)
+    return Fraction(*_formula(*_family(label, *parameters)[:3]))
 
 
 def unified_isotropic_bound(x: int) -> Fraction:
@@ -173,6 +165,14 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
     x_max, md_max = integer(x_max, "x_max"), integer(md_max, "md_max")
     if x_max < 5 or md_max < 4:
         raise ValueError("audit needs x_max >= 5 and md_max >= 4")
+    # floor(md_max/m) rows for each m >= 2, md_max or more in all: a larger md_max goes uncounted
+    a_rows = sum(md_max // m for m in range(2, md_max + 1)) if md_max <= MAX_AUDIT_ROWS else md_max
+    if (size := a_rows + 5 * x_max + 5) > MAX_AUDIT_ROWS:
+        largest = (MAX_AUDIT_ROWS - a_rows - 5) // 5
+        fits = f"the largest x_max within it is {largest}" if largest >= 5 else "no x_max fits"
+        raise BudgetExceededError(f"the audit at x_max = {x_max}, md_max = {md_max} walks "
+                                  f"{'at least ' * (md_max > MAX_AUDIT_ROWS)}{size} rows, above "
+                                  f"its budget of {MAX_AUDIT_ROWS}: at this md_max {fits}")
     cases = chain(
         (("a", {"m": m, "d": d}, _FAMILIES["a"](m, d))
          for m in range(2, md_max + 1) for d in range(1, md_max // m + 1)),
@@ -192,8 +192,7 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
                 entry = torus[t] = (f"{t[0]}{t[1]}", h_t, Fraction(2, h_t))
             if entry[1] > h:
                 fb_label, h, fallback = entry
-        # 2*gamma/(delta - gamma) = p/q, and q > 0 since delta > gamma in every family
-        p, q = 2 * gamma_n, delta * gamma_d - gamma_n
+        p, q = _formula(gamma_n, gamma_d, delta)
         # case a records its zero formula (m = 2, d = 1); b-f drop a non-positive one
         formula = Fraction(p, q) if p > 0 or case == "a" else None
         if p * h >= 2 * q:  # the formula wins a tie

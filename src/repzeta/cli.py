@@ -6,7 +6,7 @@ Subcommands mirror the library: witten (dimension census / abscissa), local
 partial product), probe (divergence probe).  A command returns its printed
 verdict (True if none) and its --out writer.  Only `main` writes --out, with a
 <out>.manifest.json of the subcommand, parameters, version and SHA-256, and
-exits 1 exactly on a printed FAIL verdict, 2 on a rejected precondition.
+exits 1 exactly on a printed FAIL verdict, 2 on a refused input or --out path.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         passed, write = args.func(args)
         if getattr(args, "out", None):  # euler has no --out
             _write_out(args, write)
-    except (ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -8,7 +8,8 @@ a = (a_1, ..., a_r) in the fundamental-weight basis,
     dim V(a) = prod_j (B[j].a + c[j]) / prod_j c[j]
 
 where row j of B lists the simple-coroot coefficients of the j-th positive
-coroot and c[j] is its row sum (the coroot evaluated at the Weyl vector).
+coroot and c[j] is its row sum (the coroot evaluated at the Weyl vector).  One
+table, _TYPES, gives each series its ranks and Coxeter number h.
 
 The threshold chain comes from one exact elimination over the coroots in
 ascending value at weight + rho.  The coroots below any threshold span what
@@ -26,45 +27,35 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import integer
+from .errors import BudgetExceededError, integer
 
-_VALID_RANKS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+# Each series: its least rank, its largest (None: unbounded) and its Coxeter number h of a rank
+_TYPES = {
+    "A": (1, None, lambda r: r + 1),
+    "B": (2, None, lambda r: 2 * r),
+    "C": (2, None, lambda r: 2 * r),
+    "D": (3, None, lambda r: 2 * r - 2),
+    "E": (6, 8, {6: 12, 7: 18, 8: 30}.get),
+    "F": (4, 4, lambda r: 12),
+    "G": (2, 2, lambda r: 6),
 }
+MAX_POSITIVE_ROOTS = 2_000  # the closure of A62 (1,953 roots) takes about 1 s
 
 
 def _check_type(series: str, rank: int) -> int:
     """rank as an int; ValueError unless series and rank name an irreducible type."""
-    if series not in _VALID_RANKS:
+    if series not in _TYPES:
         raise ValueError(f"unknown series {series!r}; expected one of A B C D E F G")
     rank = integer(rank, "rank")
-    lo, hi = _VALID_RANKS[series]
+    lo, hi, _ = _TYPES[series]
     if rank < lo or (hi is not None and rank > hi):
-        upper = hi if hi is not None else "any"
-        raise ValueError(f"invalid rank {rank} for series {series} (allowed: {lo}..{upper})")
+        raise ValueError(f"invalid rank {rank} for series {series} (allowed: {lo}..{hi or 'any'})")
     return rank
 
 
 def coxeter_number(series: str, rank: int) -> int:
-    """Coxeter number h of the irreducible system, from the classical table."""
-    rank = _check_type(series, rank)
-    if series == "A":
-        return rank + 1
-    if series in ("B", "C"):
-        return 2 * rank
-    if series == "D":
-        return 2 * rank - 2
-    if series == "G":
-        return 6
-    if series == "F":
-        return 12
-    return {6: 12, 7: 18, 8: 30}[rank]
+    """Coxeter number h of the irreducible system, from _TYPES."""
+    return _TYPES[series][2](_check_type(series, rank))
 
 
 def positive_root_count(series: str, rank: int) -> int:
@@ -169,8 +160,15 @@ def build_root_system(series: str, rank: int) -> RootSystem:
 
     The positive coroots of X_r are the positive roots of the dual system,
     whose Cartan matrix is the transpose, so the closure runs on that.  One
-    table per type: rank is checked, and made an int, before the cache.
+    table per type: the rank (made an int) and the kappa budget are checked first.
     """
+    if (kappa := positive_root_count(series, rank)) > MAX_POSITIVE_ROOTS:
+        largest = _TYPES[series][0]
+        while positive_root_count(series, largest + 1) <= MAX_POSITIVE_ROOTS:
+            largest += 1
+        raise BudgetExceededError(
+            f"{series}{rank} has {kappa} positive roots, above the root-system closure's budget "
+            f"of {MAX_POSITIVE_ROOTS}: the largest rank of series {series} within it is {largest}")
     return _root_system(series, _check_type(series, rank))
 
 

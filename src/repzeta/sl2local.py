@@ -9,14 +9,18 @@ with a single geometric factor 1/(1 - q^(1-s)).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .census import DegreeCensus
-from .errors import integer
+from .errors import BudgetExceededError, integer
 from .numtheory import prime_power
+
+MAX_DEGREE_DIGITS = 4_300  # CPython's default limit on int-to-str conversion
 
 
 def _check_q(q: int) -> int:
@@ -28,8 +32,22 @@ def _check_q(q: int) -> int:
     return q
 
 
+@lru_cache(maxsize=64)
+def _largest_level(q: int, digits: int) -> int:
+    """The largest k whose largest degree q^(k-1)(q+1) has at most `digits` digits."""
+    bound = (10**digits - 1) // (q + 1)  # q^(k-1) <= bound exactly when that degree fits
+    k = max(int(math.log(bound or 1, q)) - 1, 0)  # a level that fits, from a float estimate
+    while q**k <= bound:
+        k += 1
+    return k
+
+
 def _check_level(q: int, k: int) -> tuple[int, int]:
-    return _check_q(q), integer(k, "level k", 1)
+    q, k = _check_q(q), integer(k, "level k", 1)
+    if k > (largest := _largest_level(q, MAX_DEGREE_DIGITS)):
+        raise BudgetExceededError(f"level k = {k} at q = {q} has degrees over {MAX_DEGREE_DIGITS}"
+                                  f" digits: the largest level within the budget is {largest}")
+    return q, k
 
 
 def _families(q):

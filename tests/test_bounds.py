@@ -10,13 +10,13 @@ import pytest
 import repzeta.bounds
 from repzeta.bounds import (
     AuditRow,
-    IsotropicCase,
-    _class_growth,
+    _family,
     isotropic_abscissa_audit,
     isotropic_case_bound,
     slm_class_growth_bound,
     unified_isotropic_bound,
 )
+from repzeta.errors import BudgetExceededError
 from repzeta.rootsystems import coxeter_number
 from repzeta.sl2local import sl1_division_abscissa
 
@@ -28,8 +28,7 @@ def test_slm_class_growth_examples():
 
 
 def test_case_a_matches_transform():
-    case = IsotropicCase(label="a", m=6, d=1, x=None)
-    assert isotropic_case_bound(case) == Fraction(8, 101)
+    assert isotropic_case_bound("a", 6, 1) == Fraction(8, 101)
 
 
 def test_displayed_cases_at_x_five():
@@ -41,8 +40,7 @@ def test_displayed_cases_at_x_five():
         "f": Fraction(9, 28),
     }
     for label, value in expected.items():
-        case = IsotropicCase(label=label, m=None, d=None, x=5)
-        assert isotropic_case_bound(case) == value
+        assert isotropic_case_bound(label, 5) == value
 
 
 def _dimension(series, rank):
@@ -54,39 +52,87 @@ def _dimension(series, rank):
 @pytest.mark.parametrize("label", ["a", "b", "c", "d", "f"])
 def test_family_dimension_is_that_of_its_first_fallback_type(label):
     if label == "a":
-        cases = [IsotropicCase("a", m=m, d=d) for m in range(2, 30) for d in range(1, 10)]
+        cases = [(m, d) for m in range(2, 30) for d in range(1, 10)]
     else:
-        cases = [IsotropicCase(label, x=x) for x in range(1, 60)]
-    for case in cases:
-        gamma, delta, types = _class_growth(case)
+        cases = [(x,) for x in range(1, 60)]
+    for parameters in cases:
+        gamma_n, gamma_d, delta, types = _family(label, *parameters)
+        gamma = Fraction(gamma_n, gamma_d)
         assert delta == _dimension(*types[0])
-        assert isotropic_case_bound(case) == 2 * gamma / (delta - gamma)
+        assert isotropic_case_bound(label, *parameters) == 2 * gamma / (delta - gamma)
 
 
 def test_family_e_dimension_is_of_type_d_while_its_fallback_is_type_c():
     # the smaller 2/h of C keeps the audit conservative
     for x in range(1, 60):
-        _, delta, types = _class_growth(IsotropicCase("e", x=x))
+        _, _, delta, types = _family("e", x)
         assert types == [("C", 2 * x + 1)]
         assert delta == _dimension("D", 2 * x + 1) != _dimension("C", 2 * x + 1)
         assert coxeter_number("C", 2 * x + 1) > coxeter_number("D", 2 * x + 1)
 
 
 def test_unknown_family_and_missing_parameters_are_refused():
-    for case in (IsotropicCase("g", x=3), IsotropicCase("b"), IsotropicCase("c", x=0),
-                 IsotropicCase("a", m=3)):
+    for case in (("g", 3), ("b",), ("c", 0), ("a", 3)):
         with pytest.raises(ValueError):
-            isotropic_case_bound(case)
+            isotropic_case_bound(*case)
     # the label is checked before the parameters it would need
-    for case in (IsotropicCase("g"), IsotropicCase("g", x=0)):
+    for case in (("g",), ("g", 0)):
         with pytest.raises(ValueError, match="unknown isotropic case label 'g'"):
-            isotropic_case_bound(case)
+            isotropic_case_bound(*case)
+
+
+@pytest.mark.parametrize("case,takes", [
+    (("a", 3), r"'a' takes \(m, d\), got 1 parameter"),
+    (("b",), r"'b' takes \(index x\), got 0 parameter"),
+    (("c", 5, 1), r"'c' takes \(index x\), got 2 parameter"),
+    # the count is checked before the values it would hold
+    (("a", 2.5, 1, 1), r"'a' takes \(m, d\), got 3 parameter"),
+])
+def test_a_wrong_number_of_parameters_names_what_the_family_takes(case, takes):
+    with pytest.raises(ValueError, match=takes):
+        isotropic_case_bound(*case)
+
+
+def test_every_recorded_formula_is_the_case_bound_at_its_parameters():
+    rows = [row for row in isotropic_abscissa_audit(60, 60).rows if row.formula is not None]
+    assert {row.case for row in rows} == set("abcdef")
+    for row in rows:
+        assert row.formula == isotropic_case_bound(row.case, *row.parameters.values())
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (7, 9), (12, 12), (60, 60)])
+def test_the_audit_counts_its_rows_and_refuses_one_over_its_budget(monkeypatch, shape):
+    assert repzeta.bounds.MAX_AUDIT_ROWS == 100_000
+    rows = len(isotropic_abscissa_audit(*shape).rows)
+    monkeypatch.setattr(repzeta.bounds, "MAX_AUDIT_ROWS", rows)
+    assert len(isotropic_abscissa_audit(*shape).rows) == rows
+
+    def no_row(*_):
+        raise AssertionError("a row was decided before the refusal")
+
+    monkeypatch.setattr(repzeta.bounds, "MAX_AUDIT_ROWS", rows - 1)
+    monkeypatch.setattr(repzeta.bounds, "_formula", no_row)
+    message = f"walks {rows} rows, above its budget of {rows - 1}"
+    with pytest.raises(BudgetExceededError, match=message):
+        isotropic_abscissa_audit(*shape)
+
+
+def test_the_audit_refusal_names_the_largest_x_max_within_the_budget(monkeypatch):
+    # (12, 12) has 23 rows of case a, 5 per index x and 5 exceptional
+    monkeypatch.setattr(repzeta.bounds, "MAX_AUDIT_ROWS", 87)
+    message = "at this md_max the largest x_max within it is 11$"
+    with pytest.raises(BudgetExceededError, match=message):
+        isotropic_abscissa_audit(12, 12)
+    assert len(isotropic_abscissa_audit(11, 12).rows) == 83
+    # an md_max above the budget is refused uncounted, on its lower bound of md_max rows of case a
+    message = "walks at least 118 rows, above its budget of 87: at this md_max no x_max fits$"
+    with pytest.raises(BudgetExceededError, match=message):
+        isotropic_abscissa_audit(5, 88)
 
 
 def test_unified_formula_equals_case_c():
     for x in range(1, 60):
-        case = IsotropicCase(label="c", m=None, d=None, x=x)
-        assert unified_isotropic_bound(x) == isotropic_case_bound(case)
+        assert unified_isotropic_bound(x) == isotropic_case_bound("c", x)
 
 
 def test_unified_formula_increases_toward_two_thirds():
@@ -224,8 +270,8 @@ def test_non_integer_parameters_are_refused_by_name():
         (lambda: slm_class_growth_bound(3, 1.0), "d must be an integer"),
         (lambda: isotropic_abscissa_audit(50.0, 50), "x_max must be an integer"),
         (lambda: isotropic_abscissa_audit(50, "50"), "md_max must be an integer"),
-        (lambda: isotropic_case_bound(IsotropicCase("b", x=5.0)), "x must be an integer"),
-        (lambda: isotropic_case_bound(IsotropicCase("a", m=3, d=1.5)), "d must be an integer"),
+        (lambda: isotropic_case_bound("b", 5.0), "x must be an integer"),
+        (lambda: isotropic_case_bound("a", 3, 1.5), "d must be an integer"),
     ]
     for call, message in calls:
         with pytest.raises(ValueError, match=message):
@@ -234,7 +280,7 @@ def test_non_integer_parameters_are_refused_by_name():
     with pytest.raises(ValueError, match="m must be >= 2, got 1"):
         slm_class_growth_bound(1, 1)
     with pytest.raises(ValueError, match="d must be >= 1, got 0"):
-        isotropic_case_bound(IsotropicCase("a", m=3, d=0))
+        isotropic_case_bound("a", 3, 0)
     with pytest.raises(ValueError, match="index x must be >= 1, got 0"):
         unified_isotropic_bound(0)
     with pytest.raises(ValueError, match="audit needs x_max >= 5 and md_max >= 4"):
@@ -244,7 +290,7 @@ def test_non_integer_parameters_are_refused_by_name():
 def test_numpy_integer_parameters_give_the_same_values():
     assert slm_class_growth_bound(np.int64(6), np.int32(1)) == Fraction(4, 3)
     assert unified_isotropic_bound(np.int64(7)) == unified_isotropic_bound(7)
-    assert isotropic_case_bound(IsotropicCase("e", x=np.int64(5))) == Fraction(5, 8)
+    assert isotropic_case_bound("e", np.int64(5)) == Fraction(5, 8)
     assert isotropic_abscissa_audit(np.int64(12), np.int32(12)) == isotropic_abscissa_audit(12, 12)
 
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import pathlib
+import time
 import warnings
 from fractions import Fraction
 
@@ -525,6 +526,32 @@ def test_a_writer_that_raises_exits_2_and_writes_no_manifest(tmp_path, monkeypat
     out = tmp_path / "a5.csv"
     assert main(["alt", "--k", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: refused by the writer\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,named", [
+    ("bounds-audit --x-max 100000000 --md-max 5",
+     "the audit at x_max = 100000000, md_max = 5 walks 500000010 rows, above its budget of 100000"),
+    ("witten --type A --rank 3000 --max-dim 10",
+     "A3000 has 4501500 positive roots, above the root-system closure's budget of 2000"),
+    ("local --q 3 --levels 20000", "level k = 20000 at q = 3 has degrees over 4300 digits"),
+])
+def test_an_over_budget_input_exits_2_before_any_work(capsys, argv, named):
+    start = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("where", ["missing/a1.csv", "."], ids=["missing-directory", "directory"])
+def test_an_unwritable_out_exits_2_with_one_diagnostic_and_no_manifest(tmp_path, capsys, where):
+    out = tmp_path / where
+    assert main(["witten", "--type", "A", "--rank", "1", "--max-dim", "10", "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed.startswith("A1: 10 distinct degrees")
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(str(out)) in err
     assert list(tmp_path.iterdir()) == []
 
 

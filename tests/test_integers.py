@@ -15,7 +15,6 @@ import pytest
 
 import repzeta
 from repzeta.bounds import (
-    IsotropicCase,
     isotropic_abscissa_audit,
     isotropic_case_bound,
     slm_class_growth_bound,
@@ -57,9 +56,9 @@ def _ring(p, k):
 ROUTED = [
     ("m", lambda v: slm_class_growth_bound(v, 1), 6),
     ("d", lambda v: slm_class_growth_bound(3, v), 2),
-    ("m", lambda v: isotropic_case_bound(IsotropicCase("a", m=v, d=1)), 4),
-    ("d", lambda v: isotropic_case_bound(IsotropicCase("a", m=2, d=v)), 3),
-    ("index x", lambda v: isotropic_case_bound(IsotropicCase("b", x=v)), 5),
+    ("m", lambda v: isotropic_case_bound("a", v, 1), 4),
+    ("d", lambda v: isotropic_case_bound("a", 2, v), 3),
+    ("index x", lambda v: isotropic_case_bound("b", v), 5),
     ("index x", unified_isotropic_bound, 7),
     ("x_max", lambda v: isotropic_abscissa_audit(v, 12), 12),
     ("md_max", lambda v: isotropic_abscissa_audit(12, v), 12),

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import repzeta.rootsystems
+from repzeta.errors import BudgetExceededError
 from repzeta.rootsystems import (
     build_root_system,
     coroot_values,
@@ -212,6 +214,30 @@ def test_invalid_inputs_rejected():
         weyl_dim(rs, (1.5, 0))
     with pytest.raises(ValueError, match="non-negative integers, got '1'"):
         weyl_dim(rs, ("1", 0))
+
+
+@pytest.mark.parametrize("series,largest", [("A", 62), ("B", 44), ("C", 44), ("D", 45)])
+def test_the_closure_budget_is_read_off_the_type_table(monkeypatch, series, largest):
+    # kappa = rank * h / 2 decides, before the closure: A62 has 1953 positive roots
+    # and A63 2016, B44 1936 and B45 2025, D45 1980 and D46 2070
+    assert repzeta.rootsystems.MAX_POSITIVE_ROOTS == 2_000
+    monkeypatch.setattr(repzeta.rootsystems, "_root_system", lambda series, rank: (series, rank))
+    assert build_root_system(series, largest) == (series, largest)
+    kappa = positive_root_count(series, largest + 1)
+    message = (f"^{series}{largest + 1} has {kappa} positive roots, above the root-system "
+               f"closure's budget of 2000: the largest rank of series {series} within it is {largest}$")
+    with pytest.raises(BudgetExceededError, match=message):
+        build_root_system(series, largest + 1)
+
+
+def test_a_root_system_at_its_budget_is_built_and_one_above_is_refused(monkeypatch):
+    monkeypatch.setattr(repzeta.rootsystems, "MAX_POSITIVE_ROOTS", 12)
+    assert build_root_system("A", 4).kappa == 10 and build_root_system("D", 4).kappa == 12
+    for series, rank, largest in (("A", 5, 4), ("B", 4, 3), ("C", 4, 3), ("D", 5, 4)):
+        with pytest.raises(BudgetExceededError, match=f"series {series} within it is {largest}$"):
+            build_root_system(series, rank)
+    # coxeter_number and positive_root_count stay unbudgeted: the audit reads h far out
+    assert coxeter_number("A", 10**6) == 10**6 + 1
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])

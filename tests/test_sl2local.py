@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repzeta.sl2local
+from repzeta.errors import BudgetExceededError
 from repzeta.sl2local import (
     _excess,
     sl1_division_abscissa,
@@ -124,6 +126,29 @@ def test_even_and_composite_q_rejected():
         for q, k in ((4, 1), (2, 1), (15, 1), (1, 1), (-3, 1), (3, 0)):
             with pytest.raises(ValueError):
                 f(q, k)
+
+
+@pytest.mark.parametrize("q,largest", [(3, 9012), (5, 6151), (9, 4506)])
+def test_a_level_with_a_degree_over_4300_digits_is_refused(q, largest):
+    # the largest degree q^(k-1)(q+1) has 4300 digits at most at the largest level
+    assert repzeta.sl2local.MAX_DEGREE_DIGITS == 4_300
+    assert 10**4299 <= q ** (largest - 1) * (q + 1) < 10**4300 <= q**largest * (q + 1)
+    assert sl2_group_order(q, largest) == q ** (3 * largest - 2) * (q * q - 1)
+    message = (f"^level k = {largest + 1} at q = {q} has degrees over 4300 digits: "
+               f"the largest level within the budget is {largest}$")
+    for f in (sl2_degree_census, sl2_class_count, sl2_group_order):
+        with pytest.raises(BudgetExceededError, match=message):
+            f(q, largest + 1)
+
+
+@pytest.mark.parametrize("q,largest", [(3, 6), (5, 4), (7, 3), (11, 2), (997, 1), (1009, 0)])
+def test_the_level_budget_is_exact_at_its_boundary(monkeypatch, q, largest):
+    monkeypatch.setattr(repzeta.sl2local, "MAX_DEGREE_DIGITS", 3)
+    if largest:
+        assert sl2_degree_census(q, largest).max_degree() == q ** (largest - 1) * (q + 1) < 1000
+    message = f"the largest level within the budget is {largest}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        sl2_degree_census(q, largest + 1)
 
 
 def test_s_at_or_below_one_rejected():
