@@ -53,6 +53,14 @@ brings the conjugator into SL2.  In a class that is scalar mod p, every a
 is +-1 mod p, a unit.  With a = 0, c = -b^-1 is fixed by b; with a a unit,
 d is fixed by (a, b, c).  So on every element that can be least in its
 class, key order is lexicographic.
+
+Every gather, a[idx] above, is a.take(idx) with take's default bounds check
+(mode "raise"), so an index out of range still raises IndexError: numpy
+gathers through int32 indices faster with take than with fancy indexing.
+take converts its whole index to intp first, 8 bytes an element, a copy
+fancy indexing does not make.  `_orbit_labels` runs while the group and
+its conjugations are held; it lowers its labels in place, block by block,
+so its copies stay the size of a block and it adds only the labels.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from .numtheory import prime_power
 DEFAULT_GROUP_BUDGET = 200_000
 _MAX_TABLE_SIZE = 2048  # the size*size operation tables, and their int32 indices
 _MAX_ORDER = 2**31 - 1  # int32 element indices
+_BLOCK = 1 << 16  # elements per gather of _orbit_labels, which bounds its intp index copies
 
 Matrix = tuple[int, int, int, int]
 
@@ -109,16 +118,16 @@ class QuotientRing:
         self._mul = mul.ravel()
 
     def add(self, a, b):
-        return self._add[a * self.size + b]
+        return self._add.take(a * self.size + b)
 
     def mul(self, a, b):
-        return self._mul[a * self.size + b]
+        return self._mul.take(a * self.size + b)
 
     def neg(self, a):
-        return self._neg[a]
+        return self._neg.take(a)
 
     def inv(self, a):
-        return self._inv[a]
+        return self._inv.take(a)
 
     def label(self) -> str:
         if self.flavor == "char0":
@@ -181,20 +190,20 @@ class FiniteMatrixGroup:
     def index(self, u, v):
         """Index, as int32, of each element given as packed columns (off SL2, another's)."""
         p, f, q = self.tables
-        return p[u] + q[f[u] + v]
+        return p.take(u) + q.take(f.take(u) + v)
 
     def locate(self, image, name: str):
         """Index of each element given as packed columns, which raises unless
         both columns are those of the element at that index."""
         idx = self.index(*image)
-        if not all(np.array_equal(col[idx], x) for col, x in zip(self.packed, image)):
+        if not all(np.array_equal(col.take(idx), x) for col, x in zip(self.packed, image)):
             raise AssertionError(f"{name} maps some element outside the set")
         return idx
 
     def left_permutation(self, g: Matrix):
         """Index permutation x -> g x, through T_g on each packed column."""
         t = _left_table(self.ring, g)
-        return self.locate(tuple(t[x] for x in self.packed), f"x -> {g} x")
+        return self.locate(tuple(t.take(x) for x in self.packed), f"x -> {g} x")
 
 
 def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET) -> FiniteMatrixGroup:
@@ -268,9 +277,9 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClasses:
     """
     labels = _orbit_labels(_conjugations(group))
     roots = np.flatnonzero(labels == np.arange(len(labels), dtype=np.int32))
-    (a, c), (b, d) = (np.divmod(x[roots], group.ring.size) for x in group.packed)
+    (a, c), (b, d) = (np.divmod(x.take(roots), group.ring.size) for x in group.packed)
     return ConjugacyClasses(representatives=tuple(_tuples((a, b, c, d))),
-                            sizes=tuple(np.bincount(labels)[roots].tolist()))
+                            sizes=tuple(np.bincount(labels).take(roots).tolist()))
 
 
 def _elementaries(ring: QuotientRing) -> tuple[Matrix, ...]:
@@ -334,30 +343,41 @@ def _conjugations(group: FiniteMatrixGroup) -> list[np.ndarray]:
     """Index of g x g^-1 for every element x, one permutation per generator g,
     composed as L_g[iota[L_g[iota]]] from g x g^-1 = L_g(iota(L_g(iota(x))))."""
     iota = group.inverse
-    return [left[iota[left[iota]]] for left in group.left]
+    return [left.take(iota.take(left.take(iota))) for left in group.left]
 
 
 def _orbit_labels(perms):
     """Least index in each element's orbit under the index permutations `perms`.
 
     The orbits are the connected components of the permutations.  Each round
-    takes the minimum of every label and its image's label along each
-    permutation, then jumps once, labels[labels]; the loop stops at the
-    first round that changes nothing.  Labels only fall, labels[x] <= x, and
-    each label is always a member of its element's orbit.  A round that
-    changes nothing leaves labels[x] <= labels[perm[x]] for every x and every
-    permutation; walking round a cycle of a permutation, those inequalities
-    force equality, so the label is constant on each orbit.  A member of the
-    orbit that is at most every member is the least index.
+    lowers every label, in place, to the minimum of itself and its image's
+    label along each permutation, then jumps once, labels[labels]; both go
+    block by block, and a block reads the labels earlier blocks have already
+    lowered.  The loop stops, before the jump, at the first round in which no
+    image fell below its label, a round that changes nothing.  Labels only
+    fall, labels[x] <= x, and each label is always a member of its element's
+    orbit.  In a round that changes nothing every image is compared with the
+    labels the round ends with, so it still leaves labels[x] <= labels[perm[x]]
+    for every x and every permutation; walking round a cycle of a permutation,
+    those inequalities force equality, so the label is constant on each
+    orbit.  A member of the orbit that is at most every member is the least
+    index.  The blocks bound the intp copy each gather makes of its index
+    (see the module docstring), and no image of the whole array is formed:
+    the loop adds the labels, 4 bytes an element, to the permutations.
     """
     labels = np.arange(len(perms[0]), dtype=np.int32)
+    blocks = [slice(i, i + _BLOCK) for i in range(0, len(labels), _BLOCK)]
     while True:
-        previous = labels
+        fell = False
         for perm in perms:
-            labels = np.minimum(labels, labels[perm])
-        labels = labels[labels]
-        if np.array_equal(labels, previous):
+            for b in blocks:
+                block, image = labels[b], labels.take(perm[b])
+                fell = fell or bool((image < block).any())
+                np.minimum(block, image, out=block)
+        if not fell:
             return labels
+        for b in blocks:
+            labels[b] = labels.take(labels[b])
 
 
 def _orbit_size(perms) -> int:
@@ -375,7 +395,7 @@ def _orbit_size(perms) -> int:
     while frontier.size:
         new = reached.copy()
         for perm in perms:
-            new[perm[frontier]] = True
+            new[perm.take(frontier)] = True
         frontier = np.flatnonzero(new ^ reached)
         reached = new
     return int(np.count_nonzero(reached))

@@ -20,7 +20,7 @@ from .census import DegreeCensus
 from .errors import BudgetExceededError, integer
 from .numtheory import prime_power
 
-MAX_DEGREE_DIGITS = 4_300  # CPython's default limit on int-to-str conversion
+MAX_DEGREE_DIGITS = 4_300  # CPython's default int-to-str limit, on a level's class count
 
 
 def _check_q(q: int) -> int:
@@ -32,12 +32,22 @@ def _check_q(q: int) -> int:
     return q
 
 
+def _class_total(q: int, k: int) -> int:
+    """(q+4) + sum_{j=2..k} q^(j-1)(q+3) = 1 + (q+3)(q^k - 1)/(q - 1)."""
+    return 1 + (q + 3) * (q**k - 1) // (q - 1)
+
+
 @lru_cache(maxsize=64)
 def _largest_level(q: int, digits: int) -> int:
-    """The largest k whose largest degree q^(k-1)(q+1) has at most `digits` digits."""
-    bound = (10**digits - 1) // (q + 1)  # q^(k-1) <= bound exactly when that degree fits
-    k = max(int(math.log(bound or 1, q)) - 1, 0)  # a level that fits, from a float estimate
-    while q**k <= bound:
+    """The largest k whose class count has at most `digits` digits.
+
+    The class count is the largest number of the level's census: it exceeds
+    the largest degree q^(k-1)(q+1), every multiplicity and every running total.
+    """
+    bound = 10**digits - 1
+    # a level that fits, from a float estimate: the count is below 3 q^k + 1 for q >= 3
+    k = max(int(math.log(bound, q)) - 2, 0)
+    while _class_total(q, k + 1) <= bound:
         k += 1
     return k
 
@@ -45,8 +55,9 @@ def _largest_level(q: int, digits: int) -> int:
 def _check_level(q: int, k: int) -> tuple[int, int]:
     q, k = _check_q(q), integer(k, "level k", 1)
     if k > (largest := _largest_level(q, MAX_DEGREE_DIGITS)):
-        raise BudgetExceededError(f"level k = {k} at q = {q} has degrees over {MAX_DEGREE_DIGITS}"
-                                  f" digits: the largest level within the budget is {largest}")
+        raise BudgetExceededError(f"level k = {k} at q = {q} has a class count over "
+                                  f"{MAX_DEGREE_DIGITS} digits: the largest level within the "
+                                  f"budget is {largest}")
     return q, k
 
 
@@ -119,8 +130,7 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
 
 def sl2_class_count(q: int, k: int) -> int:
     """Predicted number of conjugacy classes of SL2 at level k."""
-    q, k = _check_level(q, k)
-    return (q + 4) + sum(q ** (j - 1) * (q + 3) for j in range(2, k + 1))
+    return _class_total(*_check_level(q, k))
 
 
 def sl2_group_order(q: int, k: int) -> int:

@@ -6,6 +6,7 @@ import io
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ def test_larger_levels_match_the_closed_form(p, k, flavor):
         writer.writerow(list(rep) + [size])
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == LARGER_LEVEL_CSV_SHA256[p, k, flavor]
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_build_and_classes_peak_at_most_50_bytes_per_element(flavor):
+    # The group keeps 24 bytes an element (two packed columns, three left
+    # permutations, the inversion) and the classes add 12 (three
+    # conjugations); a gather adds its result and an 8-byte intp copy of its
+    # index while it runs.  Orbit labels gathered over the whole array read
+    # 52.4, and 56.4 if they also held an image across the next gather.
+    ring = QuotientRing(7, 2, flavor)
+    tracemalloc.start()
+    try:
+        classes = conjugacy_classes(build_sl2_group(ring))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes.count == 81
+    assert peak <= 50 * predicted_order(ring)
 
 
 def _left_orbit_count(ring, generators):
@@ -178,6 +197,31 @@ def test_orbit_labels_are_the_least_index_of_each_component(perms):
     assert labels.tolist() == _least_in_component(perms, len(perms[0]))
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("n", [1, 300, 1000])
+def test_orbit_labels_in_blocks_are_the_least_index_of_each_component(monkeypatch, block, n):
+    # blocks smaller than the permutations, so a block reads labels that
+    # earlier blocks of the same round lowered
+    monkeypatch.setattr(fq, "_BLOCK", block)
+    rng = np.random.default_rng(n + block)
+    perm_sets = [[rng.permutation(n)], [_cycle(rng.permutation(n)[: n // 2 + 1], n)],
+                 [_cycle(np.arange(n - 1, -1, -1), n), np.arange(n)],
+                 [_cycle(rng.permutation(n)[:3], n) for _ in range(3)]]
+    for perms in perm_sets:
+        assert fq._orbit_labels(perms).tolist() == _least_in_component(perms, n)
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_orbit_labels_leave_their_permutations_unchanged(flavor):
+    # the labels are lowered in place; the permutations they are read through are not
+    group = build_sl2_group(QuotientRing(3, 2, flavor))
+    perms = fq._conjugations(group)
+    before = [perm.copy() for perm in perms]
+    labels = fq._orbit_labels(perms)
+    assert all(np.array_equal(perm, copy) for perm, copy in zip(perms, before))
+    assert len(set(labels.tolist())) == conjugacy_classes(group).count == 25
+
+
 def test_build_certifies_generation_without_labelling_orbits(monkeypatch):
     def refuse(perms):
         raise AssertionError("the build labelled every left orbit")
@@ -215,6 +259,24 @@ def test_orbit_labels_reject_an_image_outside_the_group(flavor, monkeypatch):
         with pytest.raises(AssertionError,
                            match=re.escape(f"x -> {g} x maps some element outside the set")):
             build_sl2_group(ring)
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_a_packed_column_of_m_squared_or_more_raises_index_error(flavor):
+    # The gathers check their bounds: a column past the index tables is an
+    # IndexError, never clipped or wrapped onto some element.  (m, 1) is the
+    # identity; with a = 1 a unit, v is read at m^2 + v of Q's 2 m^2 entries.
+    ring = QuotientRing(3, 2, flavor)
+    group = build_sl2_group(ring)
+    m2 = ring.size**2
+    assert group.index(np.array([ring.size]), np.array([1])).tolist() == [
+        fq._tuples(group.cols).index((1, 0, 0, 1))]
+    for image in ((m2, 1), (ring.size, m2), (m2 + 5, 1), (ring.size, 2 * m2)):
+        image = tuple(np.array([x], dtype=np.int32) for x in image)
+        with pytest.raises(IndexError):
+            group.index(*image)
+        with pytest.raises(IndexError):
+            group.locate(image, "x -> y")
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):
@@ -505,6 +567,21 @@ def test_negation_and_inverse_tables(flavor, p, k):
     units = r[r % p != 0]
     assert (ring.mul(units, ring.inv(units)) == 1).all()
     assert ring.neg(0) == 0 and ring.inv(1) == 1
+
+
+@pytest.mark.parametrize("flavor", ["char0", "charp"])
+def test_ring_operations_return_int32_in_the_shape_of_their_input(flavor):
+    ring = QuotientRing(5, 2, flavor)
+    r = np.arange(ring.size, dtype=np.int32)
+    grid = r.reshape(5, 5)
+    for a in (7, r, grid):
+        for value in (ring.add(a, 3), ring.mul(a, a), ring.neg(a), ring.inv(a)):
+            assert value.dtype == np.int32 and value.shape == np.shape(a)
+    assert np.array_equal(ring.add(grid, grid), ring.add(r, r).reshape(5, 5))
+    assert np.array_equal(ring.mul(grid, 7), ring.mul(r, 7).reshape(5, 5))
+    assert np.array_equal(ring.inv(grid), ring.inv(r).reshape(5, 5))
+    assert [ring.neg(int(x)) for x in r] == ring.neg(r).tolist()
+    assert [ring.add(int(x), 3) for x in r] == ring.add(r, 3).tolist()
 
 
 def test_class_growth_exponents_q3():

@@ -128,24 +128,48 @@ def test_even_and_composite_q_rejected():
                 f(q, k)
 
 
-@pytest.mark.parametrize("q,largest", [(3, 9012), (5, 6151), (9, 4506)])
-def test_a_level_with_a_degree_over_4300_digits_is_refused(q, largest):
-    # the largest degree q^(k-1)(q+1) has 4300 digits at most at the largest level
+def _class_count(q, k):
+    """(q+4) + (q+3)(q^k - q)/(q - 1), the class count at level k, in closed form."""
+    return (q + 4) + (q + 3) * (q**k - q) // (q - 1)
+
+
+def _refused_above(q, largest):
+    """Each closed-form function refuses the level above the largest, naming that level."""
     assert repzeta.sl2local.MAX_DEGREE_DIGITS == 4_300
-    assert 10**4299 <= q ** (largest - 1) * (q + 1) < 10**4300 <= q**largest * (q + 1)
+    assert len(str(sl2_class_count(q, largest))) == 4300
     assert sl2_group_order(q, largest) == q ** (3 * largest - 2) * (q * q - 1)
-    message = (f"^level k = {largest + 1} at q = {q} has degrees over 4300 digits: "
+    message = (f"^level k = {largest + 1} at q = {q} has a class count over 4300 digits: "
                f"the largest level within the budget is {largest}$")
     for f in (sl2_degree_census, sl2_class_count, sl2_group_order):
         with pytest.raises(BudgetExceededError, match=message):
             f(q, largest + 1)
 
 
-@pytest.mark.parametrize("q,largest", [(3, 6), (5, 4), (7, 3), (11, 2), (997, 1), (1009, 0)])
+@pytest.mark.parametrize("q,largest", [(5, 6151), (9, 4506), (13, 3860)])
+def test_a_level_with_a_degree_over_4300_digits_is_refused(q, largest):
+    # the class count has 4300 digits at the largest level, and the
+    # level above has a degree q^k (q+1) over 4300 digits
+    assert 10**4299 <= _class_count(q, largest) < 10**4300 <= q**largest * (q + 1)
+    _refused_above(q, largest)
+
+
+@pytest.mark.parametrize("q,largest", [(3, 9011), (7, 5087), (11, 4128)])
+def test_a_level_with_a_class_count_over_4300_digits_is_refused(q, largest):
+    # the class count, the largest number a level's census prints or writes,
+    # is above every degree: the level above the largest has degrees of 4300
+    # digits at most, but a class count of 4301
+    assert 10**4299 <= _class_count(q, largest) < 10**4300 <= _class_count(q, largest + 1)
+    assert q**largest * (q + 1) < 10**4300
+    _refused_above(q, largest)
+
+
+@pytest.mark.parametrize("q,largest", [(3, 5), (5, 3), (7, 3), (11, 2), (997, 0), (1009, 0)])
 def test_the_level_budget_is_exact_at_its_boundary(monkeypatch, q, largest):
     monkeypatch.setattr(repzeta.sl2local, "MAX_DEGREE_DIGITS", 3)
     if largest:
-        assert sl2_degree_census(q, largest).max_degree() == q ** (largest - 1) * (q + 1) < 1000
+        census = sl2_degree_census(q, largest)
+        assert census.total_multiplicity() == _class_count(q, largest) < 1000
+    assert _class_count(q, largest + 1) >= 1000
     message = f"the largest level within the budget is {largest}$"
     with pytest.raises(BudgetExceededError, match=message):
         sl2_degree_census(q, largest + 1)
