@@ -7,7 +7,8 @@ s in [2, 3] every local factor is squeezed between (1 - q^(1-s))^(-1/2) and
 (1 - q^(1-s))^(-100), so the product inherits divergence at s = 2 from the
 square root of the zeta pole and convergence beyond it.  The partial
 product and the divergence probe share one fold over the sieved odd primes:
-log1p of each local factor's excess over 1, summed in ascending order.
+log1p of each local factor's excess over 1, each segment of primes between
+two bounds summed on its own by numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .numtheory import odd_primes_up_to
 from .sl2local import _excess, sl2_local_zeta
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
+_BLOCK = 8192  # primes per _excess call, whose nine families' arrays then stay in cache
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,8 @@ def _odd_prime_fold(s: float, bounds: tuple[int, ...]) -> np.ndarray:
     (pairwise), so its log-gap keeps full relative precision."""
     primes = odd_primes_up_to(bounds[-1])
     ends = np.searchsorted(primes, bounds, side="right")
-    terms = np.stack((np.log1p(_excess(primes, s)), -0.5 * np.log1p(-1.0 / primes)))
+    excess = [_excess(primes[i:i + _BLOCK], s) for i in range(0, primes.size, _BLOCK)]
+    terms = np.stack((np.log1p(np.concatenate(excess)), -0.5 * np.log1p(-1.0 / primes)))
     return np.array([terms[:, a:b].sum(axis=1) for a, b in zip((0, *ends[:-1]), ends)]).T
 
 
@@ -59,7 +62,8 @@ def global_partial_product(
     Requires s > 2 for a finite limit, with the census cap large enough that
     the archimedean truncation error is below 1e-8.  For 1 < s <= 2 the
     product diverges as the prime bound grows; pass acknowledge_divergence
-    to probe it anyway.  Factors are combined in ascending prime order.
+    to probe it anyway.  The local factors' logs are summed pairwise; a
+    product that is not a finite float is a ValueError.
     """
     s = cfg.s
     if not s > 1:
@@ -86,7 +90,10 @@ def global_partial_product(
                 )
         log_total += cfg.archimedean_exponent * math.log(witten_census.zeta(s))
     (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
-    return math.exp(log_total + log_local)
+    try:
+        return math.exp(log_total + log_local)
+    except OverflowError:
+        raise ValueError(f"the partial product at s={s} is not a finite float") from None
 
 
 @dataclass(frozen=True)

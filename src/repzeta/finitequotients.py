@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, integer
-from .numtheory import prime_power
+from .numtheory import integer_log, prime_power
 
 DEFAULT_GROUP_BUDGET = 200_000
 _MAX_TABLE_SIZE = 2048  # the size*size operation tables, and their int32 indices
@@ -96,14 +96,10 @@ class QuotientRing:
         p, k = integer(p, "p"), integer(k, "k", 1)
         if p < 3 or p % 2 == 0:
             raise ValueError(f"p must be an odd prime, got {p}")
-        k_max = 0  # decided before factoring p or forming p^k, whose costs grow with p and k
-        while p ** (k_max + 1) <= _MAX_TABLE_SIZE:
-            k_max += 1
-        if k > k_max:
-            remedy = (f"the largest level within it at p = {p} is k = {k_max}" if k_max else
-                      f"no level at p = {p} is within it")
+        if k > (k_max := integer_log(_MAX_TABLE_SIZE, p)):  # before p is factored or p^k formed
             raise ValueError(f"ring size p^k = {p}^{k} needs operation tables of that size "
-                             f"squared; the largest size allowed is {_MAX_TABLE_SIZE}; {remedy}")
+                             f"squared; the largest size allowed is {_MAX_TABLE_SIZE}; "
+                             f"{_largest_level_within(p, k_max)}")
         if prime_power(p) != (p, 1):
             raise ValueError(f"p must be an odd prime, got {p}")
         size = p**k
@@ -161,6 +157,12 @@ def predicted_order(ring: QuotientRing) -> int:
 
 def _sl2_order(p: int, k: int) -> int:
     return p ** (3 * k - 2) * (p * p - 1)
+
+
+def _largest_level_within(p: int, k: int, detail: str = "") -> str:
+    """The remedy a budget's refusal names: k, the largest level within it at p."""
+    return (f"the largest level within it at p = {p} is k = {k}{detail}" if k else
+            f"no level at p = {p} is within it")
 
 
 @dataclass
@@ -224,16 +226,13 @@ def build_sl2_group(ring: QuotientRing, *, max_order: int = DEFAULT_GROUP_BUDGET
     order = predicted_order(ring)
     limit = min(max_order, _MAX_ORDER)
     if order > limit:
-        k = 0
-        while _sl2_order(ring.p, k + 1) <= limit:
-            k += 1
-        remedy = (f"the largest level within it at p = {ring.p} is k = {k} "
-                  f"(order {_sl2_order(ring.p, k)})" if k else
-                  f"no level at p = {ring.p} is within it")
+        p = ring.p  # p^(3k-2) (p^2 - 1) <= limit exactly when 3k - 2 <= log_p(limit // (p^2 - 1))
+        k = (integer_log(limit // (p * p - 1), p) + 2) // 3
         over = (f"the budget of {max_order}" if limit == max_order else
                 f"the int32 index limit of {_MAX_ORDER}")
         raise BudgetExceededError(
-            f"SL2 over {ring.label()} has order {order}, over {over}; {remedy}"
+            f"SL2 over {ring.label()} has order {order}, over {over}; "
+            f"{_largest_level_within(p, k, f' (order {_sl2_order(p, k)})')}"
         )
     group = FiniteMatrixGroup(ring, _elementaries(ring), _sl2_elements(ring), _index_tables(ring))
     if group.order != order:

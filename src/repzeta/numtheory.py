@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers: the odd-prime sieve and the prime-power test."""
+"""Small number-theoretic helpers: the odd-prime sieve, the prime-power test, the integer log."""
 
 from __future__ import annotations
 
@@ -23,6 +23,19 @@ def odd_primes_up_to(n: int) -> np.ndarray:
         if sieve[i]:  # index 2i(i + 1) holds (2i + 1)^2, and 2i + 1 indices span 2(2i + 1)
             sieve[2 * i * (i + 1) :: 2 * i + 1] = False
     return 2 * np.flatnonzero(sieve) + 1
+
+
+def integer_log(n: int, base: int) -> int:
+    """The largest k with base**k <= n, exactly, for a base of 2 or more; -1 for n < 1."""
+    n, base = integer(n, "n"), integer(base, "base", 2)
+    if n < 1:
+        return -1
+    k = int(math.log(n, base))  # a float estimate, off by at most one
+    while base**k > n:
+        k -= 1
+    while base ** (k + 1) <= n:
+        k += 1
+    return k
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

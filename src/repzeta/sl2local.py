@@ -9,16 +9,15 @@ with a single geometric factor 1/(1 - q^(1-s)).
 
 from __future__ import annotations
 
-import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from .census import DegreeCensus
 from .errors import BudgetExceededError, integer
-from .numtheory import prime_power
+from .numtheory import integer_log, prime_power
 
 MAX_DEGREE_DIGITS = 4_300  # CPython's default int-to-str limit, on a level's class count
 
@@ -32,24 +31,15 @@ def _check_q(q: int) -> int:
     return q
 
 
-def _class_total(q: int, k: int) -> int:
-    """(q+4) + sum_{j=2..k} q^(j-1)(q+3) = 1 + (q+3)(q^k - 1)/(q - 1)."""
-    return 1 + (q + 3) * (q**k - 1) // (q - 1)
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # a call forms 10^digits and powers of q of as many digits
 def _largest_level(q: int, digits: int) -> int:
     """The largest k whose class count has at most `digits` digits.
 
     The class count is the largest number of the level's census: it exceeds
     the largest degree q^(k-1)(q+1), every multiplicity and every running total.
+    It is at most 10^digits - 1 exactly when q^k <= (q - 1)((10^digits - 2) // (q + 3)) + 1.
     """
-    bound = 10**digits - 1
-    # a level that fits, from a float estimate: the count is below 3 q^k + 1 for q >= 3
-    k = max(int(math.log(bound, q)) - 2, 0)
-    while _class_total(q, k + 1) <= bound:
-        k += 1
-    return k
+    return integer_log((q - 1) * ((10**digits - 2) // (q + 3)) + 1, q)
 
 
 def _check_level(q: int, k: int) -> tuple[int, int]:
@@ -62,29 +52,23 @@ def _check_level(q: int, k: int) -> tuple[int, int]:
 
 
 def _families(q):
-    """(degree, multiplicity) of the six level <= 1 families, then the three level-2
-    seeds, one at a time; integer arithmetic, so q may be an int or an int64 array."""
-    yield 1, 1
-    yield q, 1
-    yield q + 1, (q - 3) // 2
-    yield (q + 1) // 2, 2
-    yield q - 1, (q - 1) // 2
-    yield (q - 1) // 2, 2
-    yield (q * q - 1) // 2, 4 * q
-    yield q * q - q, (q * q - 1) // 2
-    yield q * q + q, (q - 1) ** 2 // 2
+    """(degree, multiplicity) of the six level <= 1 families, then of the three
+    level-2 seeds; integer arithmetic, so q may be an int or an int64 array."""
+    return ((1, 1), (q, 1), (q + 1, (q - 3) // 2), ((q + 1) // 2, 2),
+            (q - 1, (q - 1) // 2), ((q - 1) // 2, 2),
+            ((q * q - 1) // 2, 4 * q), (q * q - q, (q * q - 1) // 2),
+            (q * q + q, (q - 1) ** 2 // 2))
 
 
 def _excess(q, s: float):
     """Unchecked sl2_local_excess.  Every term is positive, so no digit cancels:
-    degree 1 is left out rather than subtracted, and 1 - q^(1-s) comes from expm1.
-    s is taken as a float: numpy refuses an int64 array to a negative int power."""
-    s = float(s)
-    families = _families(q)
-    next(families)  # degree 1, the 1 of L_q(s)
-    level_one = sum(m * d ** -s for d, m in islice(families, 5))
-    geometric = sum(m * d ** -s for d, m in families)
-    return level_one + geometric / -np.expm1((1.0 - s) * np.log(q))
+    degree 1, the 1 of L_q(s), is left out rather than subtracted, and 1 - q^(1-s)
+    comes from expm1.  s and log q are taken as floats: numpy refuses an int64
+    array to a negative int power, and an int of 2^64 or more to its log."""
+    s, families = float(s), _families(q)
+    level_one = sum(m * d ** -s for d, m in families[1:6])
+    geometric = sum(m * d ** -s for d, m in families[6:])
+    return level_one + geometric / -np.expm1((1.0 - s) * np.log(q * 1.0))
 
 
 def sl2_local_excess(q: int, s: float) -> float:
@@ -97,6 +81,8 @@ def sl2_local_excess(q: int, s: float) -> float:
     q = _check_q(q)
     if not s > 1:
         raise ValueError(f"s must exceed 1 for the geometric factor to converge, got {s}")
+    if q * q + q > sys.float_info.max:
+        raise ValueError(f"q = {q} is too large: the degree q^2 + q overflows a float")
     return float(_excess(q, s))
 
 
@@ -118,9 +104,9 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
     """
     q, k = _check_level(q, k)
     families = _families(q)
-    terms = list(islice(families, 6))  # levels 0 and 1
-    seeds = tuple(families)  # level 2
-    terms += [(d * q ** (j - 2), m * q ** (j - 2)) for j in range(2, k + 1) for d, m in seeds]
+    terms = list(families[:6])  # levels 0 and 1
+    terms += [(d * q ** (j - 2), m * q ** (j - 2))  # the level-2 seeds, scaled to level j
+              for j in range(2, k + 1) for d, m in families[6:]]
     counts: dict[int, int] = {}
     for d, m in terms:
         if m:  # degree q + 1 has multiplicity (q - 3)/2, none at q = 3
@@ -129,8 +115,10 @@ def sl2_degree_census(q: int, k: int) -> DegreeCensus:
 
 
 def sl2_class_count(q: int, k: int) -> int:
-    """Predicted number of conjugacy classes of SL2 at level k."""
-    return _class_total(*_check_level(q, k))
+    """Predicted number of conjugacy classes of SL2 at level k:
+    (q+4) + sum_{j=2..k} q^(j-1)(q+3) = 1 + (q+3)(q^k - 1)/(q - 1)."""
+    q, k = _check_level(q, k)
+    return 1 + (q + 3) * (q**k - 1) // (q - 1)
 
 
 def sl2_group_order(q: int, k: int) -> int:

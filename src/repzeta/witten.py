@@ -189,17 +189,9 @@ def abscissa_estimate(census: DegreeCensus) -> AbscissaEstimate:
     if n_max < 100:
         raise ValueError(f"census cap {n_max} too small for an abscissa estimate (need >= 100)")
     lo = n_max / 10.0
-    samples: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for i in range(ABSCISSA_SAMPLE_POINTS):
-        n = round(lo * 10.0 ** (i / (ABSCISSA_SAMPLE_POINTS - 1)))
-        n = min(max(n, 1), n_max)
-        if n in seen:
-            continue
-        seen.add(n)
-        rn = census.cumulative(n)
-        if rn > 0:
-            samples.append((n, rn))
+    grid = sorted({min(max(round(lo * 10.0 ** (i / (ABSCISSA_SAMPLE_POINTS - 1))), 1), n_max)
+                   for i in range(ABSCISSA_SAMPLE_POINTS)})  # the grid never falls as i grows
+    samples = [(n, rn) for n in grid if (rn := census.cumulative(n)) > 0]
     if len(samples) < 10:
         raise ValueError(f"only {len(samples)} usable sample points, need >= 10")
     xs = [math.log(n) for n, _ in samples]

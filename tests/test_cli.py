@@ -508,14 +508,23 @@ def test_version_flag(capsys):
     ("alt --k 12 --s nan", "zeta at s=nan is not finite: largest degree 5775"),
     ("probe --s 2.0 --schedule 1000,1000000000000", "prime bound 1000000000000 exceeds"),
     ("euler --s 2.5 --prime-bound 1000000000000", "prime bound 1000000000000 exceeds"),
-])
+    ("euler --s 3 --prime-bound 3 --arch-exponent 10000",
+     "the partial product at s=3.0 is not a finite float"),
+    (f"local --q {3**324} --s 2.0", f"q = {3**324} is too large: the degree q^2 + q overflows"),
+], ids=lambda x: x[:100])
 def test_unrepresentable_input_exits_2_with_one_diagnostic(capsys, argv, named):
-    # an overflowing or NaN zeta and a prime bound above the sieve budget are
-    # refused, not a traceback, a printed nan or a sieve of 5e11 bytes
+    # an overflowing or NaN zeta or product, a prime bound above the sieve
+    # budget and a q whose degrees overflow a float are refused, not a
+    # traceback, a printed nan or a sieve of 5e11 bytes
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_a_local_factor_at_a_q_of_64_bits_or_more(capsys):
+    assert main(["local", "--q", str(3**41), "--s", "2.0"]) == 0
+    assert capsys.readouterr().out == f"local factor q={3**41} at s=2: 1\n"
 
 
 def test_a_writer_that_raises_exits_2_and_writes_no_manifest(tmp_path, monkeypatch, capsys):

@@ -43,6 +43,9 @@ def test_sandwich_domain():
     for q in (1, 2, 4, 15):
         with pytest.raises(ValueError):
             sandwich_check(q, 2.5)
+    assert sandwich_check(3**41, 2.5).value == 1.0  # q above 2^64, excess below an ulp
+    with pytest.raises(ValueError, match=f"^q = {3**324} is too large"):
+        sandwich_check(3**324, 2.5)  # q^2 + q overflows a float
 
 
 def test_sandwich_tests_q_once(monkeypatch):

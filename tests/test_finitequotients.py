@@ -483,6 +483,49 @@ def test_budget_error_names_the_largest_level_within_it(capsys):
         build_sl2_group(QuotientRing(3, 1, "char0"), max_order=23)
 
 
+LEVEL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 2039, 2053, 10**14 + 31)
+LEVEL_LIMITS = (*range(1, 3000), 200_000, 17_496, 472_392, 2**31 - 1)
+
+
+def _largest_level_by_walk(fits):
+    k = 0
+    while fits(k + 1):
+        k += 1
+    return k
+
+
+def _remedy(p, k, detail=""):
+    if k:
+        return f"the largest level within it at p = {p} is k = {k}{detail}"
+    return f"no level at p = {p} is within it"
+
+
+def _refusal(error, call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except error as exc:
+        return str(exc)
+    raise AssertionError(f"{call.__name__}{args} was not refused")
+
+
+def test_both_level_bounds_match_a_plain_walk(monkeypatch):
+    # a ring of any p at level 10 has an SL2 order above 2^31; only its p,
+    # its k and its label are read before the budget refuses it
+    ring = QuotientRing.__new__(QuotientRing)
+    ring.k, ring.flavor = 10, "char0"
+    for p in LEVEL_PRIMES:
+        ring.p = p
+        for limit in LEVEL_LIMITS:
+            k = _largest_level_by_walk(lambda j: p ** (3 * j - 2) * (p * p - 1) <= limit)
+            detail = f" (order {p ** (3 * k - 2) * (p * p - 1)})" if k else ""
+            message = _refusal(BudgetExceededError, build_sl2_group, ring, max_order=limit)
+            assert message.endswith(_remedy(p, k, detail)), message
+            monkeypatch.setattr(fq, "_MAX_TABLE_SIZE", limit)
+            k = _largest_level_by_walk(lambda j: p**j <= limit)
+            message = _refusal(ValueError, QuotientRing, p, k + 1)
+            assert message.endswith(f"the largest size allowed is {limit}; {_remedy(p, k)}")
+
+
 def test_polynomial_ring_arithmetic_and_unit_inverses():
     p, k = 3, 3
     charp = QuotientRing(p, k, "charp")

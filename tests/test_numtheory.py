@@ -1,15 +1,17 @@
-"""The odd-prime sieve and the prime-power test against a plain sieve, and
-their integer check."""
+"""The odd-prime sieve and the prime-power test against a plain sieve, the
+integer logarithm against a plain walk, and their integer check."""
 
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import repzeta.numtheory
 from repzeta.errors import BudgetExceededError
-from repzeta.numtheory import odd_primes_up_to, prime_power
+from repzeta.numtheory import integer_log, odd_primes_up_to, prime_power
 from repzeta.sl2local import sl2_local_zeta
 
 
@@ -29,6 +31,37 @@ def test_prime_power_matches_the_sieve(odd_primes_by_sieve):
             q, e = q * p, e + 1
     for m in range(-3, n + 1):
         assert prime_power(m) == expected.get(m), m
+
+
+def _log_by_walk(n, base):
+    k, power = -1, 1
+    while power <= n:
+        k, power = k + 1, power * base
+    return k
+
+
+# n up to about 10^40, and the tops of the level budget, (q - 1)((10^4300 - 2) // (q + 3)) + 1
+@given(n=st.integers(-3, 10**40) | st.integers(10**4299, 10**4301), base=st.integers(2, 10**6))
+@example(n=0, base=2)
+@example(n=2**64, base=2)
+@example(n=10**4300 - 1, base=10)
+def test_integer_log_matches_a_plain_walk(n, base):
+    assert integer_log(n, base) == _log_by_walk(n, base)
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10, 2053, 10**6])
+def test_integer_log_is_exact_around_each_power(base):
+    for k in range(60):
+        power = base**k
+        assert integer_log(power - 1, base) == k - 1
+        assert integer_log(power, base) == k
+    assert integer_log(-10**50, base) == -1
+
+
+def test_integer_log_needs_a_base_of_two_or_more():
+    for base in (1, 0, -3):
+        with pytest.raises(ValueError, match=r"^base must be >= 2, got "):
+            integer_log(10, base)
 
 
 def _prime_power_by_trial_division(n):

@@ -1,5 +1,6 @@
 """Exact SL2 local factors over compact discrete valuation rings."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,12 @@ def test_excess_rejects_what_the_local_factor_rejects():
     # as an int it is exact: L_q(2) - 1 = 1/q + O(q^-2)
     big = 4_294_967_311
     assert sl2_local_excess(big, 2.0) == pytest.approx(1.0 / big, rel=1e-8)
+    big = 3**41  # above 2^64, where numpy takes no log of an int
+    assert sl2_local_excess(big, 2.0) == pytest.approx(float(_exact_zeta(big, 2) - 1), rel=1e-12)
+    big = 3**324  # its degree q^2 + q is above the largest float
+    with pytest.raises(ValueError, match=f"^q = {big} is too large: the degree q\\^2 \\+ q "
+                       "overflows a float$"):
+        sl2_local_excess(big, 2.0)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25])
@@ -161,6 +168,24 @@ def test_a_level_with_a_class_count_over_4300_digits_is_refused(q, largest):
     assert 10**4299 <= _class_count(q, largest) < 10**4300 <= _class_count(q, largest + 1)
     assert q**largest * (q + 1) < 10**4300
     _refused_above(q, largest)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 99991, 10**6 + 3])
+def test_the_largest_level_matches_a_walk_over_class_counts(q):
+    for digits in range(1, 61):
+        k = 0
+        while _class_count(q, k + 1) < 10**digits:
+            k += 1
+        assert repzeta.sl2local._largest_level(q, digits) == k, digits
+
+
+def test_a_far_level_is_refused_at_once():
+    repzeta.sl2local._largest_level.cache_clear()  # time the search, not the cache
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^level k = 1000000000 at q = 3 has a class "
+                       "count over 4300 digits: the largest level within the budget is 9011$"):
+        sl2_class_count(3, 10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("q,largest", [(3, 5), (5, 3), (7, 3), (11, 2), (997, 0), (1009, 0)])
