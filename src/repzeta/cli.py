@@ -155,8 +155,7 @@ def _cmd_probe(args):
     print(f"strictly increasing: {'PASS' if report.strictly_increasing else 'FAIL'}")
     if args.s > 2:
         print("successive differences: " + ", ".join(_fmt(d) for d in report.differences))
-    return (report.exceeds_comparator and report.strictly_increasing,
-            lambda path: _write_json(report.to_json_dict(), path))
+    return report.passed, lambda path: _write_json(report.to_json_dict(), path)
 
 
 def build_parser() -> argparse.ArgumentParser:

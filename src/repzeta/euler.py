@@ -8,7 +8,9 @@ s in [2, 3] every local factor is squeezed between (1 - q^(1-s))^(-1/2) and
 square root of the zeta pole and convergence beyond it.  The partial
 product and the divergence probe share one fold over the sieved odd primes:
 log1p of each local factor's excess over 1, each segment of primes between
-two bounds summed on its own by numpy's pairwise sum.
+two bounds summed on its own by numpy's pairwise sum.  Every check is decided
+on that log scale, never on floats rounded near 1: the sandwich reads log1p of
+the excess, and the probe's steps come from its segment sums.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .census import DegreeCensus
 from .errors import integer
 from .numtheory import odd_primes_up_to
-from .sl2local import _excess, sl2_local_zeta
+from .sl2local import _excess, sl2_local_excess
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
 _BLOCK = 8192  # primes per _excess call, whose nine families' arrays then stay in cache
@@ -103,26 +105,21 @@ class SandwichResult:
     lower: float
     value: float
     upper: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lower < self.value < self.upper
+    ok: bool
 
 
 def sandwich_check(q: int, s: float) -> SandwichResult:
-    """Check (1-q^(1-s))^(-1/2) < local factor < (1-q^(1-s))^(-100) on s in [2,3]."""
+    """Check (1-q^(1-s))^(-1/2) < local factor < (1-q^(1-s))^(-100) on s in [2,3]
+    as t/2 < log1p(excess) < 100 t, t = -log1p(-q^(1-s)): at large q all three
+    factors round to 1.0, while the logs keep their relative precision."""
     if not 2 <= s <= 3:
         raise ValueError(f"sandwich is stated for s in [2, 3], got {s}")
     q = integer(q, "q")
-    value = sl2_local_zeta(q, s)  # checks q before base**-0.5 divides by zero at q = 1
-    base = 1.0 - q ** (1.0 - s)
-    return SandwichResult(
-        q=q,
-        s=s,
-        lower=base**-0.5,
-        value=value,
-        upper=base**-100.0,
-    )
+    excess = sl2_local_excess(q, s)  # checks q before base**-0.5 divides by zero at q = 1
+    x = q ** (1.0 - s)
+    base, t = 1.0 - x, -math.log1p(-x)
+    return SandwichResult(q=q, s=s, lower=base**-0.5, value=1.0 + excess, upper=base**-100.0,
+                          ok=t / 2 < math.log1p(excess) < 100 * t)
 
 
 @dataclass(frozen=True)
@@ -132,11 +129,12 @@ class DivergenceProbeReport:
     At s = 2 the log-product must exceed the comparator
     (1/2) * sum over odd p <= P of -log(1 - 1/p)  (half the log of the
     truncated zeta pole), and does so at every step while growing without
-    visible bound.  For every s the successive differences of values are
-    reported.  They do not by themselves tell convergence from divergence:
-    on a decade schedule they shrink at s = 2 as well as above it.  Above
-    s = 2 the log-gap between bounds follows the convergent tail sum over p
-    of p^(1-s), which is what stabilization is judged against.
+    visible bound; `passed` is the verdict.  For every s the successive
+    differences of values are reported, taken without cancellation, and
+    `strictly_increasing` reads them.  They do not by themselves tell convergence
+    from divergence: on a decade schedule they shrink at s = 2 as well as above
+    it.  Above s = 2 the log-gap between bounds follows the convergent tail sum
+    over p of p^(1-s), which is what stabilization is judged against.
     """
 
     s: float
@@ -148,13 +146,17 @@ class DivergenceProbeReport:
 
     @property
     def strictly_increasing(self) -> bool:
-        return all(b > a for a, b in zip(self.values, self.values[1:]))
+        return all(d > 0 for d in self.differences)
 
     @property
     def exceeds_comparator(self) -> bool:
         if self.comparators_log is None:
             return True
         return all(lv > cv for lv, cv in zip(self.log_values, self.comparators_log))
+
+    @property
+    def passed(self) -> bool:
+        return self.strictly_increasing and self.exceeds_comparator
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,7 +4,9 @@ For odd residue field size q the full character-degree list of SL2 of the
 valuation ring is known in closed form: six degree families at level <= 1
 plus three families per level j >= 2 whose degrees and multiplicities both
 scale by q^(j-2).  Summed against degree^(-s) this gives a finite expression
-with a single geometric factor 1/(1 - q^(1-s)).
+with a single geometric factor 1/(1 - q^(1-s)).  The level budget bounds the
+class count, the largest printed number, not the work: level 9011 at q = 3
+writes a 116 MB CSV, about 8 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .census import DegreeCensus
 from .errors import BudgetExceededError, integer
 from .numtheory import integer_log, prime_power
 
-MAX_DEGREE_DIGITS = 4_300  # CPython's default int-to-str limit, on a level's class count
+MAX_DEGREE_DIGITS = 4_300  # CPython's int-to-str limit: bounds a printed class count, not the work
 
 
 def _check_q(q: int) -> int:
@@ -63,11 +65,14 @@ def _families(q):
 def _excess(q, s: float):
     """Unchecked sl2_local_excess.  Every term is positive, so no digit cancels:
     degree 1, the 1 of L_q(s), is left out rather than subtracted, and 1 - q^(1-s)
-    comes from expm1.  s and log q are taken as floats: numpy refuses an int64
-    array to a negative int power, and an int of 2^64 or more to its log."""
+    comes from expm1.  A term m d^(-s) is formed as (m/d) d^(1-s): for d near q,
+    d^(-s) underflows to 0 once q^s passes 1e308 while m d^(-s) ~ q^(1-s) is still
+    a normal float, and every Euler check reads this excess as its log1p.  s and
+    log q are taken as floats: numpy refuses an int64 array to a negative int power,
+    and an int of 2^64 or more to its log."""
     s, families = float(s), _families(q)
-    level_one = sum(m * d ** -s for d, m in families[1:6])
-    geometric = sum(m * d ** -s for d, m in families[6:])
+    level_one = sum(m / d * d ** (1.0 - s) for d, m in families[1:6])
+    geometric = sum(m / d * d ** (1.0 - s) for d, m in families[6:])
     return level_one + geometric / -np.expm1((1.0 - s) * np.log(q * 1.0))
 
 

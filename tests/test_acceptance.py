@@ -135,7 +135,7 @@ def test_criterion_6_sandwich_bounds(odd_prime_powers):
 def test_criterion_7_divergence_probe_and_stabilization(odd_primes_by_sieve):
     schedule = [10**2, 10**3, 10**4, 10**5]
     at_two = divergence_probe(2.0, schedule)
-    part1 = at_two.strictly_increasing and at_two.exceeds_comparator
+    part1 = at_two.passed
     s = 2.2
     above = divergence_probe(s, schedule)
     final_gap = abs(above.values[-1] - above.values[-2])

@@ -19,7 +19,7 @@ import repzeta.cli
 from repzeta import symalt
 from repzeta.census import DegreeCensus
 from repzeta.cli import build_parser, main
-from repzeta.euler import ARCHIMEDEAN_TAIL_TOLERANCE
+from repzeta.euler import ARCHIMEDEAN_TAIL_TOLERANCE, divergence_probe
 
 
 def test_witten_csv_and_manifest(tmp_path, capsys):
@@ -455,6 +455,21 @@ def test_probe_subcommand(tmp_path, capsys):
     assert "strictly increasing: PASS" in text
     payload = json.loads(out.read_text())
     assert payload["prime_bounds"] == [100, 1000]
+
+
+@pytest.mark.parametrize("schedule,status", [(None, 0), ("114,126", 1)])
+def test_probe_exits_with_its_report_verdict(tmp_path, capsys, schedule, status):
+    out = tmp_path / "probe.json"
+    argv = ["probe", "--s", "2.0", "--out", str(out)]
+    argv += ["--schedule", schedule] if schedule else []
+    bounds = build_parser().parse_args(argv).schedule.split(",")
+    report = divergence_probe(2.0, [int(b) for b in bounds])
+    assert main(argv) == status == (0 if report.passed else 1)
+    payload = json.loads(_written_with_manifest(out))
+    # the verdict is the exit status; the report keeps its keys, with no "passed"
+    assert set(payload) == {"s", "prime_bounds", "values", "log_values", "comparators_log",
+                            "differences", "strictly_increasing", "exceeds_comparator"}
+    assert payload["strictly_increasing"] is report.strictly_increasing
 
 
 def test_probe_above_two_has_no_comparator(tmp_path, capsys):

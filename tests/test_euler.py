@@ -1,8 +1,12 @@
 """Global partial Euler products, sandwich bounds, and divergence probes."""
 
+import dataclasses
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repzeta import sl2local
 from repzeta.euler import (
@@ -11,7 +15,7 @@ from repzeta.euler import (
     global_partial_product,
     sandwich_check,
 )
-from repzeta.numtheory import prime_power
+from repzeta.numtheory import odd_primes_up_to, prime_power
 from repzeta.rootsystems import build_root_system
 from repzeta.sl2local import sl2_local_zeta
 from repzeta.witten import dimension_census
@@ -58,6 +62,36 @@ def test_sandwich_tests_q_once(monkeypatch):
     monkeypatch.setattr(sl2local, "prime_power", counted)
     assert sandwich_check(9, 2.5).ok
     assert calls == [9]
+
+
+@pytest.mark.parametrize("q,s", [(10**8 + 7, 3.0), (10**12 + 39, 2.5), (3**41, 2.0)])
+def test_sandwich_holds_where_its_floats_round_to_one(q, s):
+    # q^(1-s) is about one float ulp or less, so the lower bound and the value
+    # both read 1.0; the verdict is taken from their logs
+    result = sandwich_check(q, s)
+    assert result.lower == result.value == 1.0
+    assert result.ok
+
+
+_ODD_PRIMES_BELOW_10K = odd_primes_up_to(10**4).tolist()
+
+
+@st.composite
+def _odd_prime_powers_within_the_float_guard(draw):
+    """q = p^e for an odd prime p < 10^4, with e up to the largest exponent
+    whose degree q^2 + q is still at most the largest float."""
+    p = draw(st.sampled_from(_ODD_PRIMES_BELOW_10K))
+    e_max = 1
+    while p ** (2 * e_max + 2) + p ** (e_max + 1) <= sys.float_info.max:
+        e_max += 1
+    return p ** draw(st.integers(1, e_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_odd_prime_powers_within_the_float_guard(), s=st.floats(2.0, 3.0))
+@example(q=3**323, s=3.0)  # q^(1-s) is a subnormal float
+def test_sandwich_holds_up_to_the_float_guard(q, s):
+    assert sandwich_check(q, s).ok
 
 
 def test_global_product_monotone_in_prime_bound():
@@ -119,6 +153,25 @@ def test_probe_at_the_divergence_point(odd_primes_by_sieve):
         for bound in (100, 1000, 10_000)
     ]
     assert list(report.comparators_log) == pytest.approx(comparators)
+
+
+def test_probe_passes_on_both_checks():
+    report = divergence_probe(2.0, [100, 1000])
+    assert report.passed
+    # no odd prime lies in (114, 126], so the product does not move
+    flat = divergence_probe(2.0, [114, 126])
+    assert flat.differences == (0.0,)
+    assert flat.exceeds_comparator and not flat.strictly_increasing and not flat.passed
+    below = dataclasses.replace(report, comparators_log=tuple(v + 1 for v in report.log_values))
+    assert below.strictly_increasing and not below.exceeds_comparator and not below.passed
+
+
+def test_probe_increase_is_read_from_the_differences():
+    # two values rounded to one float still increase where their step is positive
+    report = divergence_probe(3.0, [100, 1000])
+    tied = dataclasses.replace(report, values=(report.values[0],) * 2)
+    assert tied.differences[0] > 0
+    assert tied.strictly_increasing
 
 
 def test_probe_above_the_divergence_point_follows_the_tail_law(odd_primes_by_sieve):

@@ -67,7 +67,7 @@ def test_array_excess_matches_scalar_forms(primes, s):
     for q, value in zip(primes, excess.tolist()):
         scalar = sl2_local_excess(q, s)
         assert type(scalar) is float
-        assert value == pytest.approx(scalar, rel=16 * np.finfo(float).eps)
+        assert value == pytest.approx(scalar, rel=16 * np.finfo(float).eps, abs=0)
         assert sl2_local_zeta(q, s) == 1.0 + scalar
 
 
@@ -80,13 +80,24 @@ def test_excess_rejects_what_the_local_factor_rejects():
     # the least prime above 2^32: its degree q^2 + q would wrap in int64, but
     # as an int it is exact: L_q(2) - 1 = 1/q + O(q^-2)
     big = 4_294_967_311
-    assert sl2_local_excess(big, 2.0) == pytest.approx(1.0 / big, rel=1e-8)
+    assert sl2_local_excess(big, 2.0) == pytest.approx(1.0 / big, rel=1e-8, abs=0)
     big = 3**41  # above 2^64, where numpy takes no log of an int
-    assert sl2_local_excess(big, 2.0) == pytest.approx(float(_exact_zeta(big, 2) - 1), rel=1e-12)
+    exact = float(_exact_zeta(big, 2) - 1)
+    assert sl2_local_excess(big, 2.0) == pytest.approx(exact, rel=1e-12, abs=0)
     big = 3**324  # its degree q^2 + q is above the largest float
     with pytest.raises(ValueError, match=f"^q = {big} is too large: the degree q\\^2 \\+ q "
                        "overflows a float$"):
         sl2_local_excess(big, 2.0)
+
+
+def test_excess_where_every_degree_power_underflows():
+    # at q = 3^227 and s = 3 each d^-3 is below the least float, while the
+    # excess, about q^-2, is a normal one; abs=0, since approx's default
+    # absolute tolerance of 1e-12 would pass 0.0 as well
+    big = 3**227
+    assert sl2_local_excess(big, 3.0) == pytest.approx(big ** -2.0, rel=1e-12, abs=0)
+    exact = float(_exact_zeta(big, 3) - 1)
+    assert sl2_local_excess(big, 3.0) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25])
