@@ -4,13 +4,16 @@ A census records, for every degree n <= cap that occurs, how many
 irreducibles have that degree.  The running total R(n) is the count of
 irreducibles of degree at most n, the basic object all the growth estimates
 are built on.  They are built on first use, since a census that only feeds
-a zeta sum never needs them.  The CSV and JSON writers format CHUNK rows per
+a zeta sum never needs them.  This module writes every file of the package:
+`write_table` is the one CSV writer and `write_json` the one JSON layout, which
+`DegreeCensus.write_json` streams.  The streaming writers format CHUNK rows per
 % call with one row template repeated, so a large census writes fast and in
 constant extra memory.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -23,8 +26,31 @@ from .errors import integer, integers
 
 CHUNK = 4096  # rows the writers format per % call
 
-_CSV_ROW = "%d,%d,%d\r\n"  # as csv.writer writes a row of ints
 _JSON_ENTRY = ',\n    {\n      "cumulative": %d,\n      "degree": %d,\n      "multiplicity": %d\n    }'
+
+
+def _chunks(columns) -> Iterator[tuple[int, tuple]]:
+    """(rows, flat values) for each CHUNK rows of the given equal-length columns."""
+    for i in range(0, len(columns[0]), CHUNK):
+        part = [column[i:i + CHUNK] for column in columns]
+        yield len(part[0]), tuple(chain.from_iterable(zip(*part)))
+
+
+def write_table(path, header: str, columns) -> None:
+    """Write the header line and the rows of the columns as csv.writer would, CHUNK
+    rows per % call.  Integers only: %d writes a bool as 1, csv.writer as True."""
+    row = ",".join(["%d"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for rows, flat in _chunks(columns):
+            fh.write((row * rows) % flat)
+
+
+def write_json(payload, path) -> None:
+    """json.dump(payload, indent=2, sort_keys=True) and a newline: the layout streamed below."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def check_exact_exponent(s) -> int:
@@ -111,29 +137,18 @@ class DegreeCensus:
             ],
         }
 
-    def _chunks(self, *columns) -> Iterator[tuple[int, tuple]]:
-        """(rows, flat values) for each CHUNK rows of the given columns."""
-        for i in range(0, len(self.degrees), CHUNK):
-            part = [column[i:i + CHUNK] for column in columns]
-            yield len(part[0]), tuple(chain.from_iterable(zip(*part)))
-
     def write_csv(self, path) -> None:
-        """Write the census as csv.writer would, header row first, formatting
-        CHUNK rows per % call."""
-        with open(path, "w", newline="") as fh:
-            fh.write("degree,multiplicity,cumulative\r\n")
-            for rows, flat in self._chunks(self.degrees, self.multiplicities, self._cumulative):
-                fh.write((_CSV_ROW * rows) % flat)
+        write_table(path, "degree,multiplicity,cumulative",
+                    (self.degrees, self.multiplicities, self._cumulative))
 
     def write_json(self, path) -> None:
-        """Write to_json_dict() as json.dump(..., indent=2, sort_keys=True)
-        would, plus a newline, CHUNK entries per % call: the list of entry
-        dicts is never built, so a large census writes in constant extra
-        memory."""
+        """Write to_json_dict() as write_json would, CHUNK entries per % call:
+        the list of entry dicts is never built, so a large census writes in
+        constant extra memory."""
         with open(path, "w") as fh:
             fh.write(f'{{\n  "cap": {self.cap},\n  "entries": [')
             first = 1  # the first entry drops its leading comma
-            for rows, flat in self._chunks(self._cumulative, self.degrees, self.multiplicities):
+            for rows, flat in _chunks((self._cumulative, self.degrees, self.multiplicities)):
                 fh.write(((_JSON_ENTRY * rows) % flat)[first:])
                 first = 0
             fh.write("\n  ]\n}\n" if self.degrees else "]\n}\n")

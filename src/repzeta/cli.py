@@ -4,21 +4,20 @@ Subcommands mirror the library: witten (dimension census / abscissa), local
 (exact SL2 local factor), census (brute-force finite quotients), bounds-audit
 (exact rational audit), alt (alternating-group degrees), euler (global
 partial product), probe (divergence probe).  A command returns its printed
-verdict (True if none) and its --out writer.  Only `main` writes --out, with a
-<out>.manifest.json of the subcommand, parameters, version and SHA-256, and
-exits 1 exactly on a printed FAIL verdict, 2 on a refused input or --out path.
+verdict (True if none) and its --out writer from the census module.  Only `main`
+writes --out and <out>.manifest.json (subcommand, parameters, version, SHA-256),
+and exits 1 exactly on a printed FAIL verdict, 2 on a refused input or --out path.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import sys
 
 from . import __version__
 from .bounds import isotropic_abscissa_audit
+from .census import write_json, write_table
 from .errors import BudgetExceededError
 from .euler import EulerProductConfig, divergence_probe, global_partial_product
 from .finitequotients import QuotientRing, build_sl2_group, conjugacy_classes
@@ -46,13 +45,7 @@ def _write_out(args: argparse.Namespace, write) -> None:
         "version": __version__,
         "output_sha256": digest.hexdigest(),
     }
-    _write_json(manifest, args.out + ".manifest.json")
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, args.out + ".manifest.json")
 
 
 def _cmd_witten(args):
@@ -90,15 +83,8 @@ def _cmd_census(args):
     classes = conjugacy_classes(group)
     print(f"SL2 over {ring.label()}: order {group.order}")
     print(f"classes: {classes.count}")
-
-    def write(path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep_a", "rep_b", "rep_c", "rep_d", "class_size"])
-            for rep, size in zip(classes.representatives, classes.sizes):
-                writer.writerow(list(rep) + [size])
-
-    return True, write
+    return True, lambda path: write_table(path, "rep_a,rep_b,rep_c,rep_d,class_size",
+                                          (*zip(*classes.representatives), classes.sizes))
 
 
 def _cmd_bounds_audit(args):
@@ -107,7 +93,7 @@ def _cmd_bounds_audit(args):
           f"(min = {report.global_min} at {', '.join(report.min_cases)})")
     if args.verbose:
         print(report.format_table())
-    return report.passed, lambda path: _write_json(report.to_json_dict(), path)
+    return report.passed, lambda path: write_json(report.to_json_dict(), path)
 
 
 def _cmd_alt(args):
@@ -155,7 +141,7 @@ def _cmd_probe(args):
     print(f"strictly increasing: {'PASS' if report.strictly_increasing else 'FAIL'}")
     if args.s > 2:
         print("successive differences: " + ", ".join(_fmt(d) for d in report.differences))
-    return report.passed, lambda path: _write_json(report.to_json_dict(), path)
+    return report.passed, lambda path: write_json(report.to_json_dict(), path)
 
 
 def build_parser() -> argparse.ArgumentParser:

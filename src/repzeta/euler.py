@@ -61,11 +61,11 @@ def global_partial_product(
 ) -> float:
     """Partial global zeta: (truncated archimedean zeta)^a * prod of local factors.
 
-    Requires s > 2 for a finite limit, with the census cap large enough that
-    the archimedean truncation error is below 1e-8.  For 1 < s <= 2 the
-    product diverges as the prime bound grows; pass acknowledge_divergence
-    to probe it anyway.  The local factors' logs are summed pairwise; a
-    product that is not a finite float is a ValueError.
+    A finite limit needs s > 2: for 1 < s <= 2 the product diverges as the prime
+    bound grows, and acknowledge_divergence lifts only that refusal.  At every s
+    the census cap must leave an archimedean truncation error below 1e-8.  The
+    local factors' logs are summed pairwise; a product that is not a finite
+    float is a ValueError.
     """
     s = cfg.s
     if not s > 1:
@@ -79,17 +79,20 @@ def global_partial_product(
     if cfg.archimedean_exponent:
         if witten_census is None:
             raise ValueError("archimedean exponent > 0 needs a Witten census")
-        if s > 2:
-            cap = witten_census.cap
-            tail = cap ** (1.0 - s) / (s - 1.0)
-            if tail > ARCHIMEDEAN_TAIL_TOLERANCE:
-                # the least cap N with N^(1-s) / (s-1) within the tolerance
-                need = math.ceil((ARCHIMEDEAN_TAIL_TOLERANCE * (s - 1.0)) ** (1.0 / (1.0 - s)))
-                raise ValueError(
-                    f"census cap {cap} leaves archimedean tail ~{tail:.2e} "
-                    f"above {ARCHIMEDEAN_TAIL_TOLERANCE}; raise the A1 census cap "
-                    f"(--max-dim) to at least {need}"
-                )
+        cap = witten_census.cap
+        tail = cap ** (1.0 - s) / (s - 1.0)
+        if tail > ARCHIMEDEAN_TAIL_TOLERANCE:
+            # the least cap N with N^(1-s) / (s-1) within the tolerance
+            bound = ARCHIMEDEAN_TAIL_TOLERANCE * (s - 1.0)
+            try:
+                need = math.ceil(bound ** (1.0 / (1.0 - s)))
+            except OverflowError:  # below s ~ 1.03 the least cap overflows a float
+                need = f"10^{math.log10(bound) / (1.0 - s):.0f}"
+            raise ValueError(
+                f"census cap {cap} leaves archimedean tail ~{tail:.2e} "
+                f"above {ARCHIMEDEAN_TAIL_TOLERANCE}; raise the A1 census cap "
+                f"(--max-dim) to at least {need}"
+            )
         log_total += cfg.archimedean_exponent * math.log(witten_census.zeta(s))
     (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
     try:

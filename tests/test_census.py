@@ -1,5 +1,6 @@
-"""The Dirichlet sums of a degree census: float and exact."""
+"""The Dirichlet sums of a degree census, float and exact, and the table writer."""
 
+import csv
 import re
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repzeta.census import DegreeCensus
+from repzeta import census
+from repzeta.census import DegreeCensus, write_table
 from repzeta.errors import integers
 
 degree_counts = st.dictionaries(
@@ -74,3 +76,26 @@ def test_integers_names_the_first_value_that_is_not_an_integer():
     assert [type(x) for x in integers((np.int32(3), 4), "n")] == [int, int]
     with pytest.raises(ValueError, match=re.escape("n must be an integer, got 2.5")):
         integers([1, 2.5, "3"], "n")
+
+
+table_columns = st.integers(min_value=1, max_value=6).flatmap(
+    lambda width: st.lists(st.tuples(*[st.integers(min_value=-10**30, max_value=10**30)] * width),
+                           max_size=50).map(lambda rows: (width, rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=table_columns, chunk=st.integers(min_value=1, max_value=7))
+def test_write_table_writes_the_bytes_of_csv_writer(tmp_path_factory, table, chunk):
+    # integers only: on a bool %d writes 1 where csv.writer writes True
+    width, rows = table
+    header = [f"c{i}" for i in range(width)]
+    folder = tmp_path_factory.mktemp("table")
+    with open(folder / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    columns = tuple(zip(*rows)) if rows else ((),) * width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "CHUNK", chunk)  # rows cross chunk boundaries
+        write_table(folder / "table.csv", ",".join(header), columns)
+    assert (folder / "table.csv").read_bytes() == (folder / "reference.csv").read_bytes()

@@ -169,6 +169,12 @@ GOLDEN_CENSUS_SHA256 = [
     # largest group of level >= 2 within the default budget
     ("7", "2", "char0", "5eafb6011c90558b3d4994187bad7f7c6da607cc8cc5427dab430a889c3a292e"),
     ("7", "2", "charp", "8b10f3984762f7a88adb43ee642bfbcdf5565dc7f5dae68a7d1c77eac704fa6f"),
+    # recorded before the class table moved to the census CSV writer; at
+    # k = 1 both rings are F_p, so the flavours write the same bytes
+    ("3", "1", "char0", "0d6e7c23c48b42f63c795becb04cc58764a098ad79e3cd20a7dba3fa36fbaa14"),
+    ("3", "1", "charp", "0d6e7c23c48b42f63c795becb04cc58764a098ad79e3cd20a7dba3fa36fbaa14"),
+    ("13", "1", "char0", "9745330788c43de291ad5b3aa8cd887e46ff66d5ea35d34eb114a06604c6779d"),
+    ("13", "1", "charp", "9745330788c43de291ad5b3aa8cd887e46ff66d5ea35d34eb114a06604c6779d"),
 ]
 
 
@@ -510,6 +516,14 @@ def test_archimedean_tail_error_names_the_cap_that_suffices(capsys, s, cap):
     assert str(n) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["1.2", "1.01"])
+def test_acknowledged_divergence_still_refuses_a_short_archimedean_census(capsys, s):
+    # at s = 1.01 the least cap overflows a float, and is named as a power of ten
+    assert main(["euler", "--s", s, "--prime-bound", "100", "--acknowledge-divergence"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: census cap 200000 ") and err.count("\n") == 1
+
+
 def test_version_flag(capsys):
     import pytest
 
@@ -606,6 +620,26 @@ def test_out_and_format_are_declared_once_and_written_only_by_main():
         returns = [node.value for node in ast.walk(command) if isinstance(node, ast.Return)]
         assert returns and all(isinstance(value, ast.Tuple) and len(value.elts) == 2
                                for value in returns), command.name
+
+
+def test_only_the_census_module_writes_files():
+    # csv, json and open() for writing live in census.py; cli.py opens --out
+    # once, to read it back for its SHA-256
+    def mode(call):
+        passed = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        return passed[0].value if passed else "r"
+
+    for source in pathlib.Path(repzeta.cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(source.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        modes = [mode(call) for _, call in _calls(tree, "open")]
+        writes = source.name == "census.py"
+        assert bool(imported & {"csv", "json"}) == writes, source.name
+        assert any(set(m) & set("wax+") for m in modes) == writes, source.name
+        if source.name == "cli.py":
+            assert modes == ["rb"]
 
 
 def test_which_subcommands_accept_out_and_format():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import pytest
@@ -129,10 +130,18 @@ def test_global_product_guards():
 
 
 def test_global_product_divergent_point_needs_acknowledgment():
-    census = _a1_census()
-    cfg = EulerProductConfig(s=2.0, prime_bound=100)
-    value = global_partial_product(cfg, census, acknowledge_divergence=True)
+    cfg = EulerProductConfig(s=2.0, prime_bound=100, archimedean_exponent=0)
+    value = global_partial_product(cfg, None, acknowledge_divergence=True)
     assert value > 0
+
+
+@pytest.mark.parametrize("s,need", [(2.0, "100000000"), (1.01, "10^1000")])
+def test_acknowledged_divergence_still_checks_the_archimedean_tail(s, need):
+    # the acknowledgment lifts the local product's divergence refusal only:
+    # a census cap whose tail exceeds the tolerance is refused at every s
+    cfg = EulerProductConfig(s=s, prime_bound=100)
+    with pytest.raises(ValueError, match=f"--max-dim\\) to at least {re.escape(need)}$"):
+        global_partial_product(cfg, _a1_census(), acknowledge_divergence=True)
 
 
 def test_config_validation():
