@@ -16,6 +16,7 @@ the excess, and the probe's steps come from its segment sums.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .census import DegreeCensus
 from .errors import integer
 from .numtheory import odd_primes_up_to
 from .sl2local import _excess, sl2_local_excess
+from .witten import DEFAULT_CENSUS_BUDGET
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
 _BLOCK = 8192  # primes per _excess call, whose nine families' arrays then stay in cache
@@ -53,6 +55,11 @@ def _odd_prime_fold(s: float, bounds: tuple[int, ...]) -> np.ndarray:
     return np.array([terms[:, a:b].sum(axis=1) for a, b in zip((0, *ends[:-1]), ends)]).T
 
 
+def _archimedean_tail(cap: int, s: float) -> float:
+    """The bound cap^(1-s) / (s-1) on the A1 Witten zeta's terms past cap."""
+    return cap ** (1.0 - s) / (s - 1.0)
+
+
 def global_partial_product(
     cfg: EulerProductConfig,
     witten_census: DegreeCensus | None,
@@ -80,19 +87,19 @@ def global_partial_product(
         if witten_census is None:
             raise ValueError("archimedean exponent > 0 needs a Witten census")
         cap = witten_census.cap
-        tail = cap ** (1.0 - s) / (s - 1.0)
+        tail = _archimedean_tail(cap, s)
         if tail > ARCHIMEDEAN_TAIL_TOLERANCE:
-            # the least cap N with N^(1-s) / (s-1) within the tolerance
-            bound = ARCHIMEDEAN_TAIL_TOLERANCE * (s - 1.0)
-            try:
-                need = math.ceil(bound ** (1.0 / (1.0 - s)))
-            except OverflowError:  # below s ~ 1.03 the least cap overflows a float
-                need = f"10^{math.log10(bound) / (1.0 - s):.0f}"
-            raise ValueError(
-                f"census cap {cap} leaves archimedean tail ~{tail:.2e} "
-                f"above {ARCHIMEDEAN_TAIL_TOLERANCE}; raise the A1 census cap "
-                f"(--max-dim) to at least {need}"
-            )
+            problem = (f"census cap {cap} leaves archimedean tail ~{tail:.2e} "
+                       f"above {ARCHIMEDEAN_TAIL_TOLERANCE}; ")
+            # A1 to cap N has N irreducibles, so no census past the budget can be built
+            if _archimedean_tail(DEFAULT_CENSUS_BUDGET, s) > ARCHIMEDEAN_TAIL_TOLERANCE:
+                raise ValueError(problem + "no A1 census within the budget of "
+                                 f"{DEFAULT_CENSUS_BUDGET} irreducibles reaches it at s = {s} "
+                                 "(--arch-exponent 0 leaves the archimedean factor out)")
+            caps = range(cap + 1, DEFAULT_CENSUS_BUDGET + 1)
+            need = caps[bisect_left(
+                caps, True, key=lambda n: _archimedean_tail(n, s) <= ARCHIMEDEAN_TAIL_TOLERANCE)]
+            raise ValueError(problem + f"raise the A1 census cap (--max-dim) to at least {need}")
         log_total += cfg.archimedean_exponent * math.log(witten_census.zeta(s))
     (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
     try:

@@ -1,6 +1,7 @@
 """The Dirichlet sums of a degree census, float and exact, and the table writer."""
 
 import csv
+import json
 import re
 from fractions import Fraction
 
@@ -99,3 +100,17 @@ def test_write_table_writes_the_bytes_of_csv_writer(tmp_path_factory, table, chu
         patch.setattr(census, "CHUNK", chunk)  # rows cross chunk boundaries
         write_table(folder / "table.csv", ",".join(header), columns)
     assert (folder / "table.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.dictionaries(st.integers(min_value=1, max_value=10**25),
+                              st.integers(min_value=1, max_value=10**6), max_size=40),
+       chunk=st.integers(min_value=1, max_value=7))
+def test_census_write_json_writes_the_bytes_of_json_dump(tmp_path_factory, counts, chunk):
+    censused = DegreeCensus.from_counts(counts, max(counts, default=1))
+    path = tmp_path_factory.mktemp("census") / "census.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "CHUNK", chunk)  # entries cross chunk boundaries
+        censused.write_json(path)
+    expected = json.dumps(censused.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()

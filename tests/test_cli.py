@@ -518,10 +518,24 @@ def test_archimedean_tail_error_names_the_cap_that_suffices(capsys, s, cap):
 
 @pytest.mark.parametrize("s", ["1.2", "1.01"])
 def test_acknowledged_divergence_still_refuses_a_short_archimedean_census(capsys, s):
-    # at s = 1.01 the least cap overflows a float, and is named as a power of ten
+    # neither least cap is within the census budget; at s = 1.01 it overflows a float
     assert main(["euler", "--s", s, "--prime-bound", "100", "--acknowledge-divergence"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: census cap 200000 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("s,flags,tail", [
+    ("2.1", [], "1.34e-06"),
+    ("1.2", ["--acknowledge-divergence"], "4.35e-01"),
+])
+def test_archimedean_tail_past_the_census_budget_names_no_cap(capsys, s, flags, tail):
+    # the least cap at s = 2.1 is 17182944, above the budget; at s = 1.2 it is
+    # about 3.1e43, which a float cannot give exactly
+    assert main(["euler", "--s", s, "--prime-bound", "100", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: census cap 200000 leaves archimedean tail ~{tail} above 1e-08; "
+        f"no A1 census within the budget of 10000000 irreducibles reaches it at s = {s} "
+        "(--arch-exponent 0 leaves the archimedean factor out)\n")
 
 
 def test_version_flag(capsys):

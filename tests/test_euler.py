@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repzeta import sl2local
+from repzeta.census import DegreeCensus
 from repzeta.euler import (
+    ARCHIMEDEAN_TAIL_TOLERANCE,
     EulerProductConfig,
     divergence_probe,
     global_partial_product,
@@ -19,7 +21,7 @@ from repzeta.euler import (
 from repzeta.numtheory import odd_primes_up_to, prime_power
 from repzeta.rootsystems import build_root_system
 from repzeta.sl2local import sl2_local_zeta
-from repzeta.witten import dimension_census
+from repzeta.witten import DEFAULT_CENSUS_BUDGET, dimension_census
 
 
 def _a1_census(cap=200_000):
@@ -135,13 +137,45 @@ def test_global_product_divergent_point_needs_acknowledgment():
     assert value > 0
 
 
-@pytest.mark.parametrize("s,need", [(2.0, "100000000"), (1.01, "10^1000")])
-def test_acknowledged_divergence_still_checks_the_archimedean_tail(s, need):
+@pytest.mark.parametrize("s", [2.0, 1.01])
+def test_acknowledged_divergence_still_checks_the_archimedean_tail(s):
     # the acknowledgment lifts the local product's divergence refusal only:
-    # a census cap whose tail exceeds the tolerance is refused at every s
+    # a census cap whose tail exceeds the tolerance is refused at every s, and
+    # at these s no census within the budget would do, so no cap is named
     cfg = EulerProductConfig(s=s, prime_bound=100)
-    with pytest.raises(ValueError, match=f"--max-dim\\) to at least {re.escape(need)}$"):
+    message = (f"no A1 census within the budget of {DEFAULT_CENSUS_BUDGET} irreducibles "
+               f"reaches it at s = {s} (--arch-exponent 0 leaves the archimedean factor out)")
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         global_partial_product(cfg, _a1_census(), acknowledge_divergence=True)
+
+
+def test_a_census_past_the_budget_is_still_tail_checked():
+    census = DegreeCensus(cap=2 * DEFAULT_CENSUS_BUDGET, degrees=(1,), multiplicities=(1,))
+    with pytest.raises(ValueError, match="no A1 census within the budget"):
+        global_partial_product(EulerProductConfig(s=1.5, prime_bound=100), census,
+                               acknowledge_divergence=True)
+
+
+def _tail(n, s):
+    return n ** (1.0 - s) / (s - 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(min_value=2.05, max_value=4.0), cap=st.integers(min_value=1, max_value=10**6))
+def test_the_named_cap_is_the_least_whose_tail_is_within_the_tolerance(s, cap):
+    cfg = EulerProductConfig(s=s, prime_bound=3)
+    census = DegreeCensus(cap=cap, degrees=(1,), multiplicities=(1,))
+    if _tail(cap, s) <= ARCHIMEDEAN_TAIL_TOLERANCE:
+        assert global_partial_product(cfg, census) > 0
+        return
+    with pytest.raises(ValueError) as refused:
+        global_partial_product(cfg, census)
+    if _tail(DEFAULT_CENSUS_BUDGET, s) > ARCHIMEDEAN_TAIL_TOLERANCE:
+        assert "no A1 census within the budget" in str(refused.value)
+        return
+    need = int(re.search(r"--max-dim\) to at least (\d+)$", str(refused.value))[1])
+    assert cap < need <= DEFAULT_CENSUS_BUDGET
+    assert _tail(need, s) <= ARCHIMEDEAN_TAIL_TOLERANCE < _tail(need - 1, s)
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,7 @@ def test_write_json_streams_the_bytes_of_json_dump(tmp_path, census):
     path = tmp_path / "census.json"
     census.write_json(path)
     expected = json.dumps(census.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    assert path.read_text() == expected
+    assert path.read_bytes() == expected.encode()
 
 
 @_WRITER_CENSUSES
@@ -67,6 +68,21 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, census):
     path = tmp_path / "census.csv"
     census.write_csv(path)
     assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("write", [DegreeCensus.write_csv, DegreeCensus.write_json],
+                         ids=["csv", "json"])
+def test_writers_run_in_constant_extra_memory(tmp_path, write):
+    # A1 to 157,421 writes a 14 MB JSON; the writers hold one chunk at a time
+    census = dimension_census(_A1, 157_421)
+    census.total_multiplicity()  # the running totals are part of the census, not the write
+    tracemalloc.start()
+    try:
+        write(census, tmp_path / "census")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _box_scan(rs, max_dim):
