@@ -2,15 +2,19 @@
 
 For the rank-one arithmetic lattice the global representation zeta function
 factors into a Witten-zeta archimedean part (one factor per archimedean
-place) and the product of the exact SL2 local factors over odd primes.  On
-s in [2, 3] every local factor is squeezed between (1 - q^(1-s))^(-1/2) and
-(1 - q^(1-s))^(-100), so the product inherits divergence at s = 2 from the
-square root of the zeta pole and convergence beyond it.  The partial
-product and the divergence probe share one fold over the sieved odd primes:
-log1p of each local factor's excess over 1, each segment of primes between
-two bounds summed on its own by numpy's pairwise sum.  Every check is decided
-on that log scale, never on floats rounded near 1: the sandwich reads log1p of
-the excess, and the probe's steps come from its segment sums.
+place) and the product of the exact SL2 local factors over odd primes.  The
+A1 Witten zeta is the Riemann zeta, so the archimedean factor truncated at a
+census cap N is the partial sum of n^(-s) over n <= N: an O(1) closed form by
+Euler-Maclaurin whose remainder is bounded below an ulp, with the census only
+supplying N.  On s in [2, 3] every local factor is squeezed between
+(1 - q^(1-s))^(-1/2) and (1 - q^(1-s))^(-100), so the product inherits
+divergence at s = 2 from the square root of the zeta pole and convergence
+beyond it.  The partial product and the divergence probe share one fold over
+the sieved odd primes: log1p of each local factor's excess over 1, each
+segment of primes between two bounds summed on its own by numpy's pairwise
+sum.  Every check is decided on that log scale, never on floats rounded near
+1: the sandwich reads log1p of the excess, and the probe's steps come from its
+segment sums.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,6 +65,55 @@ def _archimedean_tail(cap: int, s: float) -> float:
     return cap ** (1.0 - s) / (s - 1.0)
 
 
+# B_2j / (2j)! for j = 1..8: the coefficients of the Euler-Maclaurin corrections
+_CORRECTIONS = tuple(float(b / math.factorial(2 * j)) for j, b in enumerate((
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510)), 1))
+_DIRECT = 16  # the A1 zeta adds its terms below this one by one, the rest by Euler-Maclaurin
+
+
+def _power_sum(s: float, n: int, m: int) -> tuple[float, float]:
+    """The sum of k^(-s) over k <= n, for s > 1 and n >= m >= 1, and a bound on
+    its Euler-Maclaurin remainder.
+
+    The terms k < m are added directly.  The terms from m to n are their integral,
+    written with expm1 so that s near 1 does not cancel, the two half-endpoint
+    terms and K = 8 corrections B_2j/(2j)! (s)_(2j-1) (m^(1-s-2j) - n^(1-s-2j)),
+    with (s)_i the rising factorial; fsum adds all of them.  The remainder is at
+    most 2 zeta(2K)/(2 pi)^(2K) times the integral of |d^2K/dx^2K x^(-s)| from m
+    to n, so below 2 zeta(2K)/(2 pi)^(2K) (s)_(2K-1) m^(1-s-2K), and
+    2 zeta(2K)/(2 pi)^(2K) is |B_2K|/(2K)!.
+    """
+    fm, fn = m ** -s, n ** -s
+    terms = [k ** -s for k in range(1, m)]
+    terms += [-m * fm * math.expm1((1.0 - s) * math.log(n / m)) / (s - 1.0), fm / 2, fn / 2]
+    rising = s  # (s)_(2j-1)
+    for j, c in enumerate(_CORRECTIONS, 1):
+        if j > 1:
+            rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
+        terms.append(c * rising * (fm * m ** (1 - 2 * j) - fn * n ** (1 - 2 * j)))
+    remainder = abs(_CORRECTIONS[-1]) * rising * fm * m ** (1 - 2 * len(_CORRECTIONS))
+    return math.fsum(terms), remainder
+
+
+def _a1_zeta(cap: int, s: float) -> float:
+    """The A1 Witten zeta truncated at cap: the sum of n^(-s) over n <= cap, s > 1.
+
+    Below cap 2 * _DIRECT, and at s where the terms from _DIRECT on add up to
+    less than 2^-60 (the sum is at least 1, whose ulp is 2^-52), the terms up to
+    min(cap, 2 * _DIRECT) are added directly, so the sum is 1.0 at s = inf.
+    Otherwise it is _power_sum, whose remainder bound must be below 1/16 ulp.
+    """
+    m = _DIRECT
+    if cap < 2 * m or m ** -s * (1 + m / (s - 1.0)) < 2.0**-60:
+        return math.fsum(n ** -s for n in range(1, min(cap, 2 * m) + 1))
+    total, remainder = _power_sum(s, cap, m)
+    if remainder > math.ulp(total) / 16:
+        raise ArithmeticError(f"Euler-Maclaurin remainder bound {remainder:.2e} of the A1 zeta "
+                              f"at s = {s}, cap {cap} is not below 1/16 ulp of {total!r}")
+    return total
+
+
 def global_partial_product(
     cfg: EulerProductConfig,
     witten_census: DegreeCensus | None,
@@ -69,10 +123,13 @@ def global_partial_product(
     """Partial global zeta: (truncated archimedean zeta)^a * prod of local factors.
 
     A finite limit needs s > 2: for 1 < s <= 2 the product diverges as the prime
-    bound grows, and acknowledge_divergence lifts only that refusal.  At every s
-    the census cap must leave an archimedean truncation error below 1e-8.  The
-    local factors' logs are summed pairwise; a product that is not a finite
-    float is a ValueError.
+    bound grows, and acknowledge_divergence lifts only that refusal.  The census
+    supplies the cap N and nothing else: it must be the A1 census to N, which is
+    checked by its length, last degree and multiplicity sum, never walked.  The
+    truncated archimedean zeta is the sum of n^(-s) over n <= N, an O(1) closed
+    form whose remainder is bounded below an ulp (_a1_zeta).  At every s the cap
+    must leave an archimedean truncation error below 1e-8.  The local factors'
+    logs are summed pairwise; a product that is not a finite float is a ValueError.
     """
     s = cfg.s
     if not s > 1:
@@ -100,7 +157,13 @@ def global_partial_product(
             need = caps[bisect_left(
                 caps, True, key=lambda n: _archimedean_tail(n, s) <= ARCHIMEDEAN_TAIL_TOLERANCE)]
             raise ValueError(problem + f"raise the A1 census cap (--max-dim) to at least {need}")
-        log_total += cfg.archimedean_exponent * math.log(witten_census.zeta(s))
+        if not (len(witten_census) == cap and witten_census.degrees[-1:] == (cap,)
+                and sum(witten_census.multiplicities) == cap):
+            raise ValueError(f"the archimedean factor needs the A1 census to its cap, "
+                             f'dimension_census(build_root_system("A", 1), {cap}); got '
+                             f"{len(witten_census)} degrees and "
+                             f"{witten_census.total_multiplicity()} irreducibles")
+        log_total += cfg.archimedean_exponent * math.log(_a1_zeta(cap, s))
     (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
     try:
         return math.exp(log_total + log_local)

@@ -69,11 +69,12 @@ def _excess(q, s: float):
     d^(-s) underflows to 0 once q^s passes 1e308 while m d^(-s) ~ q^(1-s) is still
     a normal float, and every Euler check reads this excess as its log1p.  s and
     log q are taken as floats: numpy refuses an int64 array to a negative int power,
-    and an int of 2^64 or more to its log."""
+    and an int of 2^64 or more to its log.  1 - s is held at -1e300 or above: log q
+    is below 710, so its product stays finite where expm1 reads -1 long since."""
     s, families = float(s), _families(q)
     level_one = sum(m / d * d ** (1.0 - s) for d, m in families[1:6])
     geometric = sum(m / d * d ** (1.0 - s) for d, m in families[6:])
-    return level_one + geometric / -np.expm1((1.0 - s) * np.log(q * 1.0))
+    return level_one + geometric / -np.expm1(max(1.0 - s, -1e300) * np.log(q * 1.0))
 
 
 def sl2_local_excess(q: int, s: float) -> float:

@@ -413,6 +413,12 @@ GOLDEN_STDOUT = [
      "zeta partial sum at s=1: 4.64002600601\n"),
     ("euler --s 2.5 --prime-bound 100",
      "global partial product (s=2.5, P=100, archimedean exponent 1): 15.0306692154\n"),
+    ("euler --s 3 --prime-bound 100000",
+     "global partial product (s=3, P=100000, archimedean exponent 1): 7.47316733444\n"),
+    ("euler --s inf --prime-bound 100",
+     "global partial product (s=inf, P=100, archimedean exponent 1): 3\n"),
+    ("euler --s 1e308 --prime-bound 100",
+     "global partial product (s=1e+308, P=100, archimedean exponent 1): 3\n"),
     ("local --q 3 --s 2.0 --levels 3",
      "local factor q=3 at s=2: 5.17361111111\n"
      "census q=3 level 3: 79 classes, max degree 36\n"),

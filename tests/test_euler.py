@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repzeta import sl2local
+from repzeta import euler, sl2local
 from repzeta.census import DegreeCensus
 from repzeta.euler import (
     ARCHIMEDEAN_TAIL_TOLERANCE,
     EulerProductConfig,
+    _a1_zeta,
+    _power_sum,
     divergence_probe,
     global_partial_product,
     sandwich_check,
@@ -26,6 +28,11 @@ from repzeta.witten import DEFAULT_CENSUS_BUDGET, dimension_census
 
 def _a1_census(cap=200_000):
     return dimension_census(build_root_system("A", 1), cap)
+
+
+def _a1_shaped(cap):
+    """The A1 census to cap, every degree 1..cap once, without the Weyl-dimension walk."""
+    return DegreeCensus(cap=cap, degrees=tuple(range(1, cap + 1)), multiplicities=(1,) * cap)
 
 
 def test_sandwich_at_small_prime():
@@ -166,7 +173,7 @@ def test_the_named_cap_is_the_least_whose_tail_is_within_the_tolerance(s, cap):
     cfg = EulerProductConfig(s=s, prime_bound=3)
     census = DegreeCensus(cap=cap, degrees=(1,), multiplicities=(1,))
     if _tail(cap, s) <= ARCHIMEDEAN_TAIL_TOLERANCE:
-        assert global_partial_product(cfg, census) > 0
+        assert global_partial_product(cfg, _a1_shaped(cap)) > 0
         return
     with pytest.raises(ValueError) as refused:
         global_partial_product(cfg, census)
@@ -176,6 +183,94 @@ def test_the_named_cap_is_the_least_whose_tail_is_within_the_tolerance(s, cap):
     need = int(re.search(r"--max-dim\) to at least (\d+)$", str(refused.value))[1])
     assert cap < need <= DEFAULT_CENSUS_BUDGET
     assert _tail(need, s) <= ARCHIMEDEAN_TAIL_TOLERANCE < _tail(need - 1, s)
+
+
+class _UnwalkableCensus(DegreeCensus):
+    def zeta(self, s):
+        raise AssertionError("the product walked the census for its zeta")
+
+    def items(self):
+        raise AssertionError("the product walked the census items")
+
+
+def test_the_product_reads_only_the_census_cap():
+    census = _a1_census()
+    walled = _UnwalkableCensus(census.cap, census.degrees, census.multiplicities)
+    cfg = EulerProductConfig(s=2.5, prime_bound=100)
+    assert global_partial_product(cfg, walled) == global_partial_product(cfg, census)
+
+
+def _refused_census(census):
+    message = f'dimension_census(build_root_system("A", 1), {census.cap})'
+    with pytest.raises(ValueError, match=re.escape(message)):
+        global_partial_product(EulerProductConfig(s=3.0, prime_bound=100), census)
+
+
+def test_a_census_of_another_shape_is_refused():
+    _refused_census(dimension_census(build_root_system("A", 2), 200_000))
+
+
+def test_an_a1_census_with_a_raised_multiplicity_is_refused():
+    census = _a1_census()
+    mults = list(census.multiplicities)
+    mults[1000] += 1
+    _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)))
+
+
+def test_the_shape_is_checked_after_the_tail():
+    # a short census is refused for its tail, whose message is pinned, whatever its shape
+    with pytest.raises(ValueError, match="leaves archimedean tail"):
+        global_partial_product(EulerProductConfig(s=3.0, prime_bound=100),
+                               dimension_census(build_root_system("A", 2), 100))
+
+
+def _exact_partial_zeta(mp, s, cap):
+    return mp.zeta(s) - mp.zeta(s, cap + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(min_value=1.01, max_value=12.0), cap=st.integers(min_value=1, max_value=10**7))
+@example(s=3.0, cap=200_000).via("the euler subcommand's default cap")
+@example(s=1.01, cap=10**7).via("the most terms the integral stands for")
+@example(s=2.0, cap=32).via("the least cap past the direct sum")
+@example(s=12.0, cap=31).via("the largest cap of the direct sum")
+def test_the_a1_zeta_is_within_four_ulps_of_mpmath(s, cap):
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 30
+    got = _a1_zeta(cap, s)
+    assert abs(mp.mpf(got) - _exact_partial_zeta(mp, mp.mpf(s), cap)) <= 4 * math.ulp(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(min_value=1.5, max_value=8.0), n=st.integers(min_value=8, max_value=10**5))
+def test_the_euler_maclaurin_remainder_is_within_its_bound(s, n):
+    # from k = 4 on, the remainder is far above an ulp, so the bound is seen to hold;
+    # for x^(-s), whose derivatives keep their signs, the remainder also lies between
+    # 0 and the first correction left out, so each correction is seen to be there
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 30
+    m, K, s_mp = 4, len(euler._CORRECTIONS), mp.mpf(s)
+    got, bound = _power_sum(s, n, m)
+    remainder = _exact_partial_zeta(mp, s_mp, n) - mp.mpf(got)
+    slack = 4 * math.ulp(got)
+    assert abs(remainder) <= bound + slack
+    omitted = (mp.bernoulli(2 * K + 2) / mp.factorial(2 * K + 2) * mp.rf(s_mp, 2 * K + 1)
+               * (mp.mpf(m) ** (-s_mp - 2 * K - 1) - mp.mpf(n) ** (-s_mp - 2 * K - 1)))
+    assert abs(remainder) <= abs(omitted) + slack
+    assert remainder * omitted >= -slack * abs(omitted)
+
+
+def test_a_remainder_bound_above_its_share_of_an_ulp_is_refused(monkeypatch):
+    monkeypatch.setattr(euler, "_DIRECT", 2)  # from k = 2 on the remainder is visible
+    with pytest.raises(ArithmeticError, match="remainder bound"):
+        _a1_zeta(1000, 3.0)
+
+
+@pytest.mark.parametrize("cap", [1, 32, 200_000])
+@pytest.mark.parametrize("s", [16.0, 1e308, math.inf])
+def test_the_a1_zeta_at_large_s_is_its_direct_sum(s, cap):
+    # the terms past 32 are below 2^-80 here; at s = inf the sum is exactly 1.0
+    assert _a1_zeta(cap, s) == math.fsum(n ** -s for n in range(1, min(cap, 32) + 1))
 
 
 def test_config_validation():
