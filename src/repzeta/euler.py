@@ -125,7 +125,7 @@ def global_partial_product(
     A finite limit needs s > 2: for 1 < s <= 2 the product diverges as the prime
     bound grows, and acknowledge_divergence lifts only that refusal.  The census
     supplies the cap N and nothing else: it must be the A1 census to N, which is
-    checked by its length, last degree and multiplicity sum, never walked.  The
+    checked by its length, its last degree and its multiplicities, all 1.  The
     truncated archimedean zeta is the sum of n^(-s) over n <= N, an O(1) closed
     form whose remainder is bounded below an ulp (_a1_zeta).  At every s the cap
     must leave an archimedean truncation error below 1e-8.  The local factors'
@@ -158,7 +158,7 @@ def global_partial_product(
                 caps, True, key=lambda n: _archimedean_tail(n, s) <= ARCHIMEDEAN_TAIL_TOLERANCE)]
             raise ValueError(problem + f"raise the A1 census cap (--max-dim) to at least {need}")
         if not (len(witten_census) == cap and witten_census.degrees[-1:] == (cap,)
-                and sum(witten_census.multiplicities) == cap):
+                and witten_census.multiplicities.count(1) == cap):
             raise ValueError(f"the archimedean factor needs the A1 census to its cap, "
                              f'dimension_census(build_root_system("A", 1), {cap}); got '
                              f"{len(witten_census)} degrees and "

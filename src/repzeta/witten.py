@@ -165,7 +165,7 @@ def dimension_census(
 
 
 def zeta_partial(census: DegreeCensus, s: float) -> float:
-    """Partial zeta sum: multiplicity * degree^(-s), ascending degree order."""
+    """Partial zeta sum of multiplicity * degree^(-s), as DegreeCensus.zeta."""
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     return census.zeta(s)

@@ -592,8 +592,9 @@ def test_a_writer_that_raises_exits_2_and_writes_no_manifest(tmp_path, monkeypat
      "the audit at x_max = 100000000, md_max = 5 walks 500000010 rows, above its budget of 100000"),
     ("witten --type A --rank 3000 --max-dim 10",
      "A3000 has 4501500 positive roots, above the root-system closure's budget of 2000"),
-    ("local --q 3 --levels 20000", "level k = 20000 at q = 3 has a class count over 4300 digits"),
-    ("local --q 3 --levels 9012", "level k = 9012 at q = 3 has a class count over 4300 digits"),
+    ("local --q 3 --levels 20000", "level k = 20000 at q = 3 has a class count over 2000 digits"),
+    ("local --q 3 --levels 9012", "level k = 9012 at q = 3 has a class count over 2000 digits"),
+    ("local --q 3 --levels 4191", "level k = 4191 at q = 3 has a class count over 2000 digits"),
 ])
 def test_an_over_budget_input_exits_2_before_any_work(capsys, argv, named):
     start = time.perf_counter()

@@ -217,6 +217,14 @@ def test_an_a1_census_with_a_raised_multiplicity_is_refused():
     _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)))
 
 
+def test_an_a1_census_with_moved_multiplicities_is_refused():
+    # the multiplicities still sum to the cap, but one degree is missing and one doubled
+    census = _a1_census()
+    mults = list(census.multiplicities)
+    mults[1000], mults[1001] = 0, 2
+    _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)))
+
+
 def test_the_shape_is_checked_after_the_tail():
     # a short census is refused for its tail, whose message is pinned, whatever its shape
     with pytest.raises(ValueError, match="leaves archimedean tail"):

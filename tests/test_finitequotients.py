@@ -1,9 +1,11 @@
 """Brute-force SL2 censuses over finite quotient rings, both flavors."""
 
+import ast
 import csv
 import hashlib
 import io
 import math
+import pathlib
 import re
 import time
 import tracemalloc
@@ -26,6 +28,22 @@ from repzeta.finitequotients import (
 from repzeta.sl2local import sl2_class_count
 
 EXPECTED_COUNTS = {(3, 1): 7, (3, 2): 25, (5, 1): 9, (7, 1): 11}
+
+# the modules that compute censuses and zeta values in closed form or from them
+CLOSED_FORM_MODULES = {"sl2local", "census", "euler", "witten"}
+
+
+def test_the_brute_force_imports_no_closed_form():
+    # brute force checks the closed form, so it is never fed from it: no
+    # import of finitequotients names one of those modules, however spelled
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(fq.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert not names & CLOSED_FORM_MODULES
 
 
 @pytest.mark.parametrize("flavor", ["char0", "charp"])

@@ -151,34 +151,51 @@ def _class_count(q, k):
     return (q + 4) + (q + 3) * (q**k - q) // (q - 1)
 
 
-def _refused_above(q, largest):
+def _refused_above(q, largest, digits=2000):
     """Each closed-form function refuses the level above the largest, naming that level."""
-    assert repzeta.sl2local.MAX_DEGREE_DIGITS == 4_300
-    assert len(str(sl2_class_count(q, largest))) == 4300
+    assert repzeta.sl2local.MAX_DEGREE_DIGITS == digits
+    assert len(str(sl2_class_count(q, largest))) == digits
     assert sl2_group_order(q, largest) == q ** (3 * largest - 2) * (q * q - 1)
-    message = (f"^level k = {largest + 1} at q = {q} has a class count over 4300 digits: "
+    message = (f"^level k = {largest + 1} at q = {q} has a class count over {digits} digits: "
                f"the largest level within the budget is {largest}$")
     for f in (sl2_degree_census, sl2_class_count, sl2_group_order):
         with pytest.raises(BudgetExceededError, match=message):
             f(q, largest + 1)
 
 
-@pytest.mark.parametrize("q,largest", [(5, 6151), (9, 4506), (13, 3860)])
-def test_a_level_with_a_degree_over_4300_digits_is_refused(q, largest):
-    # the class count has 4300 digits at the largest level, and the
-    # level above has a degree q^k (q+1) over 4300 digits
-    assert 10**4299 <= _class_count(q, largest) < 10**4300 <= q**largest * (q + 1)
+@pytest.mark.parametrize("q,largest", [(7, 2366), (9, 2095), (11, 1920), (13, 1795)])
+def test_a_level_with_a_degree_over_the_budget_is_refused(q, largest):
+    # the class count has 2000 digits at the largest level, and the
+    # level above has a degree q^k (q+1) over 2000 digits
+    assert 10**1999 <= _class_count(q, largest) < 10**2000 <= q**largest * (q + 1)
     _refused_above(q, largest)
+
+
+@pytest.mark.parametrize("q,largest", [(3, 4190), (5, 2860)])
+def test_a_level_with_a_class_count_over_the_budget_is_refused(q, largest):
+    # the class count, the largest number a level's census prints or writes,
+    # is above every degree: the level above the largest has degrees of 2000
+    # digits at most, but a class count of 2001
+    assert 10**1999 <= _class_count(q, largest) < 10**2000 <= _class_count(q, largest + 1)
+    assert q**largest * (q + 1) < 10**2000
+    _refused_above(q, largest)
+
+
+# A budget of 4300 digits, CPython's int-to-str limit, is the most any budget
+# could print: the closed form stays exact there too.
+@pytest.mark.parametrize("q,largest", [(5, 6151), (9, 4506), (13, 3860)])
+def test_a_level_with_a_degree_over_4300_digits_is_refused(monkeypatch, q, largest):
+    monkeypatch.setattr(repzeta.sl2local, "MAX_DEGREE_DIGITS", 4_300)
+    assert 10**4299 <= _class_count(q, largest) < 10**4300 <= q**largest * (q + 1)
+    _refused_above(q, largest, 4300)
 
 
 @pytest.mark.parametrize("q,largest", [(3, 9011), (7, 5087), (11, 4128)])
-def test_a_level_with_a_class_count_over_4300_digits_is_refused(q, largest):
-    # the class count, the largest number a level's census prints or writes,
-    # is above every degree: the level above the largest has degrees of 4300
-    # digits at most, but a class count of 4301
+def test_a_level_with_a_class_count_over_4300_digits_is_refused(monkeypatch, q, largest):
+    monkeypatch.setattr(repzeta.sl2local, "MAX_DEGREE_DIGITS", 4_300)
     assert 10**4299 <= _class_count(q, largest) < 10**4300 <= _class_count(q, largest + 1)
     assert q**largest * (q + 1) < 10**4300
-    _refused_above(q, largest)
+    _refused_above(q, largest, 4300)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 99991, 10**6 + 3])
@@ -194,7 +211,7 @@ def test_a_far_level_is_refused_at_once():
     repzeta.sl2local._largest_level.cache_clear()  # time the search, not the cache
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="^level k = 1000000000 at q = 3 has a class "
-                       "count over 4300 digits: the largest level within the budget is 9011$"):
+                       "count over 2000 digits: the largest level within the budget is 4190$"):
         sl2_class_count(3, 10**9)
     assert time.perf_counter() - start < 0.1
 
