@@ -7,8 +7,9 @@ absolute root system (the "torus" bound).  One integer table, read through
 one checked accessor, holds each isotropic family a-f: gamma's numerator and
 denominator, delta and the fallback types; G2, F4, E6, E7 and E8 are rows
 with no formula and one type each.  A row's fallback is 2/h of its first type
-of largest h, its value the larger of formula and fallback.  Rows are decided
-in integers: the formula is one pair (2*gamma_n, delta*gamma_d - gamma_n),
+of largest h, one Fraction per h, and its value the larger of formula and
+fallback; each row is an AuditRow, a NamedTuple.  Rows are decided in
+integers: the formula is one pair (2*gamma_n, delta*gamma_d - gamma_n),
 compared with the fallback and the running minimum by cross-multiplication.
 An audit of more than MAX_AUDIT_ROWS rows is refused before its first row.
 The report's `passed` is the verdict; the minimum is 1/15, at h = 30 only.
@@ -19,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, integer
 from .rootsystems import coxeter_number
 
 THRESHOLD = Fraction(1, 15)
-MAX_AUDIT_ROWS = 100_000  # a row takes about 11 us and 0.8 KB: about 1 s and 80 MB
+# At the budget a row takes 5-7 us and at most 0.8 KB at the peak (2-vCPU VM,
+# Python 3.11): an audit stays under 1 s and 80 MB.
+MAX_AUDIT_ROWS = 100_000
 
 
 # Each isotropic family at its parameters: the numerator and denominator of
@@ -92,8 +96,9 @@ def _coxeter(series: str, rank: int) -> int:
     return coxeter_number(series, rank)
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
+    """One audited case: a NamedTuple, immutable and as cheap to build as a tuple."""
+
     case: str
     parameters: dict
     formula: Fraction | None
@@ -180,7 +185,8 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
         # an exceptional row has no formula, as a zero gamma in b-f has none
         (("exceptional", {"type": f"{s}{r}"}, (0, 1, 1, [(s, r)])) for s, r in _EXCEPTIONAL),
     )
-    torus = {}  # (series, rank) -> (label, h, 2/h), each Fraction built once
+    torus = {}  # (series, rank) -> (label, h), each Coxeter number looked up once
+    fallbacks = {}  # h -> 2/h, each Fraction built once
     rows = []
     low, low_n, low_d = None, 1, 0  # the running minimum, +inf as 1/0
     for case, params, (gamma_n, gamma_d, delta, types) in cases:
@@ -188,10 +194,12 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
         for t in types:  # the first type of largest h has the least 2/h
             entry = torus.get(t)
             if entry is None:
-                h_t = _coxeter(*t)
-                entry = torus[t] = (f"{t[0]}{t[1]}", h_t, Fraction(2, h_t))
+                entry = torus[t] = (f"{t[0]}{t[1]}", _coxeter(*t))
             if entry[1] > h:
-                fb_label, h, fallback = entry
+                fb_label, h = entry
+        fallback = fallbacks.get(h)
+        if fallback is None:
+            fallback = fallbacks[h] = Fraction(2, h)
         p, q = _formula(gamma_n, gamma_d, delta)
         # case a records its zero formula (m = 2, d = 1); b-f drop a non-positive one
         formula = Fraction(p, q) if p > 0 or case == "a" else None

@@ -114,6 +114,17 @@ def _a1_zeta(cap: int, s: float) -> float:
     return total
 
 
+def _a1_difference(census: DegreeCensus) -> str:
+    """Where the census first differs from the A1 census to its cap: a degree
+    that is not its position, or a multiplicity that is not 1."""
+    for n, (d, m) in enumerate(census.items(), 1):
+        if d != n:
+            return f"degree {d} at position {n}"
+        if m != 1:
+            return f"multiplicity {m} at degree {d}"
+    return f"the degrees 1 to {len(census)}, each once"
+
+
 def global_partial_product(
     cfg: EulerProductConfig,
     witten_census: DegreeCensus | None,
@@ -161,8 +172,7 @@ def global_partial_product(
                 and witten_census.multiplicities.count(1) == cap):
             raise ValueError(f"the archimedean factor needs the A1 census to its cap, "
                              f'dimension_census(build_root_system("A", 1), {cap}); got '
-                             f"{len(witten_census)} degrees and "
-                             f"{witten_census.total_multiplicity()} irreducibles")
+                             + _a1_difference(witten_census))
         log_total += cfg.archimedean_exponent * math.log(_a1_zeta(cap, s))
     (log_local,), _ = _odd_prime_fold(s, (cfg.prime_bound,))
     try:

@@ -10,10 +10,12 @@ abscissa target.
 The censuses never list partitions.  Each partition λ of k is one int64 word,
 the bitmask Σ_i 2^(λ_i + ℓ − 1 − i) of its β-set (at most k + 1 bits), and
 numpy counts the hooks of one length in every word at once with
-np.bitwise_count.  A hook product is its prime exponents packed into one int64
-key, so a census is np.unique over the keys and one decode per distinct
-degree.  `partitions` (ZS1) and `hook_degree` stay the scalar forms the kernel
-is tested against.
+np.bitwise_count.  A degree k!/H is its prime exponents packed into one int64
+key, k!'s key minus the hook product H's.  A census stays in key space until
+its end: the 2-field sits at offset 0, so halving a self-conjugate degree
+subtracts 1 from its key, and A_k's pairing and halving are one np.unique
+over weighted keys.  Each distinct key is then decoded once.  `partitions`
+(ZS1) and `hook_degree` stay the scalar forms the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -154,15 +156,14 @@ def _packed(n: int, fields) -> int:
     return key
 
 
-def _degree_counts(k: int) -> tuple[dict[int, int], dict[int, int]]:
-    """How many partitions of k have each hook degree: all of them, and the self-conjugate ones.
+def _degree_keys(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed key of each partition's S_k degree, and the indices of the self-conjugate ones.
 
     A hook of length h is a pair of positions x and x + h of the word with no
     bead at x and a bead at x + h, so the hooks of length h of every word are
     counted at once by np.bitwise_count(~w & (w >> h)).  A hook product H
-    divides k!, so Σ_h packed(h) · count_h never carries out of a prime's
-    field: it is an exact int64 key for H, and packed(k!) − key is the key of
-    the degree.  Each distinct key is decoded to an int once.  A
+    divides k!, so packed(k!) − Σ_h packed(h) · count_h never borrows from a
+    prime's field: it is an exact int64 key for the degree k!/H.  A
     self-conjugate λ has λ₁ = ℓ(λ), so its top bead sits at 2ℓ − 1; among
     those, it is the one whose word reversed over 2ℓ bits is its complement.
     """
@@ -170,11 +171,10 @@ def _degree_counts(k: int) -> tuple[dict[int, int], dict[int, int]]:
     words = _words(k)
     fields = _prime_fields(k)
     packed = {h: _packed(h, fields) for h in range(2, k + 1)}  # hooks of length 1 add nothing
-    key = np.zeros(len(words), np.int64)
+    key = np.full(len(words), sum(packed.values()), np.int64)  # packed(k!)
     holes = ~words
     for h, packed_h in packed.items():
-        key += np.bitwise_count(holes & (words >> h)) * np.int64(packed_h)
-    factorial_key = sum(packed.values())
+        key -= np.bitwise_count(holes & (words >> h)) * np.int64(packed_h)
 
     rows = np.bitwise_count(words)
     square = np.flatnonzero((words >> (2 * rows - 1)) == 1)
@@ -182,24 +182,41 @@ def _degree_counts(k: int) -> tuple[dict[int, int], dict[int, int]]:
     reverse = np.zeros_like(w)
     for x in range(k + 1):
         reverse |= ((w >> x) & 1) << (k - x)
-    self_conjugate = square[(w ^ (reverse >> (k + 1 - bits))) == (1 << bits) - 1]
+    return key, square[(w ^ (reverse >> (k + 1 - bits))) == (1 << bits) - 1]
 
-    def decode(keys):
-        keys, counts = np.unique(keys, return_counts=True)
-        exponents = factorial_key - keys
-        degrees = np.ones(len(keys), dtype=object)
-        for p, offset, width in fields:
-            powers = np.array([p**e for e in range(1 << width)], dtype=object)
-            degrees *= powers[(exponents >> offset) & ((1 << width) - 1)]
-        return dict(zip(degrees.tolist(), counts.tolist()))
 
-    return decode(key), decode(key[self_conjugate])
+def _census(k: int, keys: np.ndarray, counts: np.ndarray) -> DegreeCensus:
+    """The census with counts[i] irreducibles of the degree whose key is keys[i].
+
+    The keys are distinct, so each degree is decoded once.  The primes go in
+    runs whose share of k! stays below 2^63, so a run's part of every degree
+    is one int64 product of power-table look-ups, and one Python multiply
+    per run joins the parts.
+    """
+    fields = _prime_fields(k)
+    top = _packed(math.factorial(k), fields)
+    runs, share = [np.ones(len(keys), np.int64)], 1
+    for p, offset, width in fields:
+        v = (top >> offset) & ((1 << width) - 1)  # v_p(k!)
+        if share * p**v >= 2**63:
+            runs.append(np.ones(len(keys), np.int64))
+            share = 1
+        runs[-1] *= (p ** np.arange(v + 1, dtype=np.int64))[(keys >> offset) & ((1 << width) - 1)]
+        share *= p**v
+    degrees = runs[0].tolist()
+    for run in runs[1:]:
+        degrees = list(map(operator.mul, degrees, run.tolist()))
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    counts = counts.tolist()
+    return DegreeCensus(cap=degrees[order[-1]], degrees=tuple(map(degrees.__getitem__, order)),
+                        multiplicities=tuple(map(counts.__getitem__, order)))
 
 
 def sym_degree_census(k: int) -> DegreeCensus:
     """Full degree census of S_k; degree-square sum equals k!."""
-    counts, _ = _degree_counts(k)
-    census = DegreeCensus.from_counts(counts, max(counts))
+    k = _check_size(k)
+    keys, _ = _degree_keys(k)
+    census = _census(k, *np.unique(keys, return_counts=True))
     if census.sum_degree_squares() != math.factorial(k):
         raise AssertionError(f"S_{k} census degree-square sum != {k}!")
     return census
@@ -209,19 +226,24 @@ def alt_degree_census(k: int) -> DegreeCensus:
     """Full degree census of A_k for k >= 5.
 
     Each unordered pair {partition, transpose} contributes one degree; each
-    self-conjugate partition contributes the degree twice at half size (the
-    half-degrees are always even in total count, never fractional).
+    self-conjugate partition contributes two irreducibles of half its
+    degree.  Both are counted in key space: the 2-field sits at offset 0, so
+    a half degree's key is one less, and with weight 1 per partition and 4
+    per self-conjugate one every weighted count is twice a multiplicity.  An
+    odd count, or a self-conjugate degree that is odd, is an AssertionError.
     """
     k = integer(k, "alternating census k", 5)
-    counts, self_conjugate = _degree_counts(k)
-    for d, m in self_conjugate.items():
-        if d % 2:
-            raise AssertionError(f"a self-conjugate partition of {k} has odd degree {d}")
-        counts[d] -= m
-    alt = {d: m // 2 for d, m in counts.items() if m}  # one irreducible per pair {λ, λ′}
-    for d, m in self_conjugate.items():
-        alt[d // 2] = alt.get(d // 2, 0) + 2 * m
-    census = DegreeCensus.from_counts(alt, max(alt))
+    keys, self_conjugate = _degree_keys(k)
+    _, _, width = _prime_fields(k)[0]
+    if not (keys[self_conjugate] & ((1 << width) - 1)).all():
+        raise AssertionError(f"a self-conjugate partition of {k} has an odd degree")
+    keys[self_conjugate] -= 1  # half the degree
+    halves = keys[self_conjugate]
+    keys, twice = np.unique(keys, return_counts=True)
+    np.add.at(twice, np.searchsorted(keys, halves), 3)  # weight 4 per self-conjugate partition
+    if (twice & 1).any():
+        raise AssertionError(f"partitions of {k} of one degree do not pair with their transposes")
+    census = _census(k, keys, twice >> 1)
     if 2 * census.sum_degree_squares() != math.factorial(k):
         raise AssertionError(f"A_{k} census degree-square sum != {k}!/2")
     return census

@@ -250,6 +250,15 @@ def test_audit_rows_match_a_plain_fraction_oracle(shape):
     )
 
 
+def test_audit_rows_are_immutable():
+    row = isotropic_abscissa_audit(5, 4).rows[-1]
+    assert row._fields == ("case", "parameters", "formula", "fallback_label", "fallback", "value")
+    for field in row._fields:
+        with pytest.raises(AttributeError):
+            setattr(row, field, Fraction(1))
+    assert row.value == Fraction(1, 15)
+
+
 # SHA-256 of the sorted-key JSON report at the benchmark's most lopsided shapes
 AUDIT_JSON_SHA256 = {
     (500, 50): "52d817db1d1762aea4a90b22e16c05fed43bcc78e22acb4468dd06af3b77b22c",

@@ -444,13 +444,13 @@ def test_golden_stdout(capsys, argv, stdout):
 ])
 def test_alt_builds_each_census_once(monkeypatch, capsys, argv, walks):
     calls = []
-    walk = symalt._degree_counts
+    walk = symalt._degree_keys
 
     def counting(k):
         calls.append(k)
         return walk(k)
 
-    monkeypatch.setattr(symalt, "_degree_counts", counting)
+    monkeypatch.setattr(symalt, "_degree_keys", counting)
     assert main(argv.split()) == 0
     assert calls == [12] * walks
 

@@ -200,21 +200,28 @@ def test_the_product_reads_only_the_census_cap():
     assert global_partial_product(cfg, walled) == global_partial_product(cfg, census)
 
 
-def _refused_census(census):
-    message = f'dimension_census(build_root_system("A", 1), {census.cap})'
-    with pytest.raises(ValueError, match=re.escape(message)):
+def _refused_census(census, got):
+    message = f'dimension_census(build_root_system("A", 1), {census.cap}); got {got}'
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         global_partial_product(EulerProductConfig(s=3.0, prime_bound=100), census)
 
 
 def test_a_census_of_another_shape_is_refused():
-    _refused_census(dimension_census(build_root_system("A", 2), 200_000))
+    _refused_census(dimension_census(build_root_system("A", 2), 200_000), "degree 3 at position 2")
 
 
 def test_an_a1_census_with_a_raised_multiplicity_is_refused():
     census = _a1_census()
     mults = list(census.multiplicities)
     mults[1000] += 1
-    _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)))
+    _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)),
+                    "multiplicity 2 at degree 1001")
+
+
+def test_an_a1_census_short_of_its_cap_is_refused():
+    census = _a1_shaped(200_000)
+    _refused_census(dataclasses.replace(census, cap=census.cap + 1),
+                    "the degrees 1 to 200000, each once")
 
 
 def test_an_a1_census_with_moved_multiplicities_is_refused():
@@ -222,7 +229,8 @@ def test_an_a1_census_with_moved_multiplicities_is_refused():
     census = _a1_census()
     mults = list(census.multiplicities)
     mults[1000], mults[1001] = 0, 2
-    _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)))
+    _refused_census(dataclasses.replace(census, multiplicities=tuple(mults)),
+                    "multiplicity 0 at degree 1001")
 
 
 def test_the_shape_is_checked_after_the_tail():

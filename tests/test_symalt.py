@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repzeta import symalt
 from repzeta.census import DegreeCensus
 from repzeta.rootsystems import build_root_system
 from repzeta.symalt import (
     MAX_PARTITION_SIZE,
-    _degree_counts,
+    _degree_keys,
     _prime_fields,
     _words,
     alt_degree_census,
@@ -109,9 +110,16 @@ def test_conjugate_partition_is_the_column_count_involution(k, data):
 def test_self_conjugate_count_is_the_distinct_odd_part_count():
     sc = _distinct_odd_part_counts(MAX_PARTITION_SIZE)
     for k in range(1, MAX_PARTITION_SIZE + 1):
-        every, self_conjugate = _degree_counts(k)
-        assert sum(every.values()) == PARTITION_COUNTS[k]
-        assert sum(self_conjugate.values()) == sc[k]
+        keys, self_conjugate = _degree_keys(k)
+        assert len(keys) == PARTITION_COUNTS[k]
+        assert len(set(self_conjugate.tolist())) == len(self_conjugate) == sc[k]
+
+
+def _decoded(keys, k):
+    """The degree of each packed key, one field at a time."""
+    fields = _prime_fields(k)
+    return [math.prod(p ** ((key >> offset) & ((1 << width) - 1)) for p, offset, width in fields)
+            for key in keys.tolist()]
 
 
 @settings(max_examples=10, deadline=None)
@@ -123,7 +131,9 @@ def test_degree_kernel_matches_the_hook_length_formula(k):
         every[d] += 1
         if conjugate_partition(lam) == lam:
             self_conjugate[d] += 1
-    assert _degree_counts(k) == (dict(every), dict(self_conjugate))
+    keys, square = _degree_keys(k)
+    assert Counter(_decoded(keys, k)) == every
+    assert Counter(_decoded(keys[square], k)) == self_conjugate
 
 
 def test_packed_keys_and_words_fit_in_int64():
@@ -195,6 +205,48 @@ def test_sym_census_counts_every_partition():
 def test_alt_five_census():
     census = alt_degree_census(5)
     assert dict(census.items()) == {1: 1, 3: 2, 4: 1, 5: 1}
+
+
+def _alt_oracle(k):
+    """A_k's degrees from the partitions: one irreducible per pair λ ≠ λ′, two
+    of half the degree per self-conjugate λ."""
+    counts = Counter()
+    for lam in _partitions(k):
+        conj = conjugate_partition(lam)
+        if conj == lam:
+            half, rem = divmod(hook_degree(lam), 2)
+            assert rem == 0
+            counts[half] += 2
+        elif lam > conj:
+            counts[hook_degree(lam)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("k", range(5, 25))
+def test_alt_census_matches_the_pairing_of_the_partitions(k):
+    census = alt_degree_census(k)
+    expected = _alt_oracle(k)
+    assert census.degrees == tuple(sorted(expected))
+    assert census.multiplicities == tuple(map(expected.__getitem__, census.degrees))
+    assert census.cap == census.degrees[-1]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    # (k) has degree 1: marked self-conjugate, its half degree is no integer
+    (lambda keys, sc: np.append(sc, np.flatnonzero(keys == 0)[0]), "has an odd degree"),
+    # (3,1,1), the one self-conjugate partition of 5, left unmarked: degree 6 has no partner
+    (lambda keys, sc: sc[:0], "do not pair with their transposes"),
+], ids=["odd-half", "unpaired"])
+def test_alt_census_refuses_a_wrong_self_conjugate_mask(monkeypatch, corrupt, message):
+    degree_keys = symalt._degree_keys
+
+    def corrupted(k):
+        keys, sc = degree_keys(k)
+        return keys, corrupt(keys, sc)
+
+    monkeypatch.setattr(symalt, "_degree_keys", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        alt_degree_census(5)
 
 
 def test_alt_census_mass():
