@@ -5,12 +5,13 @@ group of dimension delta forces abscissa >= 2*gamma/(delta - gamma); and any
 anisotropic inner form yields abscissa >= rank/#positive-roots = 2/h of the
 absolute root system (the "torus" bound).  One integer table, read through
 one checked accessor, holds each isotropic family a-f: gamma's numerator and
-denominator, delta and the fallback types; G2, F4, E6, E7 and E8 are rows
-with no formula and one type each.  A row's fallback is 2/h of its first type
-of largest h, one Fraction per h, and its value the larger of formula and
-fallback; each row is an AuditRow, a NamedTuple.  Rows are decided in
-integers: the formula is one pair (2*gamma_n, delta*gamma_d - gamma_n),
-compared with the fallback and the running minimum by cross-multiplication.
+denominator, delta, and its one fallback type with that type's Coxeter number
+h in closed form; G2, F4, E6, E7 and E8 are rows with no formula, their h
+read from the root-system table.  A row's fallback is 2/h, one Fraction per
+h, and its value the larger of formula and fallback; each row is an
+AuditRow, a NamedTuple.  Rows are decided in integers: the formula is one
+pair (2*gamma_n, delta*gamma_d - gamma_n), compared with the fallback and
+the running minimum by cross-multiplication.
 An audit of more than MAX_AUDIT_ROWS rows is refused before its first row.
 The report's `passed` is the verdict; the minimum is 1/15, at h = 30 only.
 """
@@ -26,26 +27,29 @@ from .errors import BudgetExceededError, integer
 from .rootsystems import coxeter_number
 
 THRESHOLD = Fraction(1, 15)
-# At the budget a row takes 5-7 us and at most 0.8 KB at the peak (2-vCPU VM,
-# Python 3.11): an audit stays under 1 s and 80 MB.
+# At the budget a row takes 3.4-5.2 us (medians 3.9 us at x_max = 19000 and
+# 3.7 us at md_max = 11500, five runs each) and at most 0.6 KB at the
+# tracemalloc peak (2-vCPU VM, Python 3.11): an audit stays under 1 s and 80 MB.
 MAX_AUDIT_ROWS = 100_000
 
 
 # Each isotropic family at its parameters: the numerator and denominator of
-# its class-growth exponent gamma, its dimension delta, and the absolute root
-# systems of its torus fallback.  Case a is SL_m over a degree-d division
-# ring; b-f are the unitary, orthogonal and symplectic families at index x.
+# its class-growth exponent gamma, its dimension delta, and the series, rank
+# and Coxeter number h of its torus fallback, h in closed form as delta is.
+# Case a is SL_m over a degree-d division ring; b-f are the unitary,
+# orthogonal and symplectic families at index x.
 _FAMILIES = {
     "a": lambda m, d: (((m + 1) // 2) * (m // 2) * d * d - m * d + 1, 3, (m * d) ** 2 - 1,
-                       [("A", m * d - 1)]),
-    "b": lambda x: (x * x - 2 * x, 1, (2 * x + 2) ** 2 - 1, [("A", 2 * x + 1)]),
-    # even ambient dimension gives D, odd gives B; audit both parities
-    "c": lambda x: (x * x - 3 * x, 2, (x + 2) * (2 * x + 3), [("D", x + 2), ("B", x + 2)]),
-    "d": lambda x: (x * x - x, 2, x * (2 * x + 1), [("C", x)]),
+                       "A", m * d - 1, m * d),
+    "b": lambda x: (x * x - 2 * x, 1, (2 * x + 2) ** 2 - 1, "A", 2 * x + 1, 2 * x + 2),
+    # delta is dim D_{x+2}, yet the fallback is B_{x+2}: D's h = 2x + 2 is below
+    # B's 2x + 4, so D's 2/h is never the least
+    "c": lambda x: (x * x - 3 * x, 2, (x + 2) * (2 * x + 3), "B", x + 2, 2 * x + 4),
+    "d": lambda x: (x * x - x, 2, x * (2 * x + 1), "C", x, 2 * x),
     # delta is dim D_{2x+1}, yet the fallback is C_{2x+1}; its 2/h is the
     # smaller of the two, so the audit stays conservative
-    "e": lambda x: (2 * x * x + x, 1, (2 * x + 1) * (4 * x + 1), [("C", 2 * x + 1)]),
-    "f": lambda x: (2 * x * x - x, 1, (2 * x + 3) * (4 * x + 5), [("D", 2 * x + 3)]),
+    "e": lambda x: (2 * x * x + x, 1, (2 * x + 1) * (4 * x + 1), "C", 2 * x + 1, 4 * x + 2),
+    "f": lambda x: (2 * x * x - x, 1, (2 * x + 3) * (4 * x + 5), "D", 2 * x + 3, 4 * x + 4),
 }
 
 
@@ -87,13 +91,6 @@ def unified_isotropic_bound(x: int) -> Fraction:
     strictly increasing and above 1/15 for x >= 5."""
     x = integer(x, "index x", 1)
     return Fraction(2 * x * x - 6 * x, 3 * x * x + 17 * x + 12)
-
-
-def _coxeter(series: str, rank: int) -> int:
-    # the table refuses C1 = A1, which case d meets at x = 1
-    if series == "C" and rank == 1:
-        return 2
-    return coxeter_number(series, rank)
 
 
 class AuditRow(NamedTuple):
@@ -183,20 +180,13 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
          for m in range(2, md_max + 1) for d in range(1, md_max // m + 1)),
         ((label, {"x": x}, _FAMILIES[label](x)) for label in "bcdef" for x in range(1, x_max + 1)),
         # an exceptional row has no formula, as a zero gamma in b-f has none
-        (("exceptional", {"type": f"{s}{r}"}, (0, 1, 1, [(s, r)])) for s, r in _EXCEPTIONAL),
+        (("exceptional", {"type": f"{s}{r}"}, (0, 1, 1, s, r, coxeter_number(s, r)))
+         for s, r in _EXCEPTIONAL),
     )
-    torus = {}  # (series, rank) -> (label, h), each Coxeter number looked up once
     fallbacks = {}  # h -> 2/h, each Fraction built once
     rows = []
     low, low_n, low_d = None, 1, 0  # the running minimum, +inf as 1/0
-    for case, params, (gamma_n, gamma_d, delta, types) in cases:
-        h = 0
-        for t in types:  # the first type of largest h has the least 2/h
-            entry = torus.get(t)
-            if entry is None:
-                entry = torus[t] = (f"{t[0]}{t[1]}", _coxeter(*t))
-            if entry[1] > h:
-                fb_label, h = entry
+    for case, params, (gamma_n, gamma_d, delta, series, rank, h) in cases:
         fallback = fallbacks.get(h)
         if fallback is None:
             fallback = fallbacks[h] = Fraction(2, h)
@@ -207,7 +197,7 @@ def isotropic_abscissa_audit(x_max: int = 50, md_max: int = 50) -> AuditReport:
             value, v_n, v_d = formula, p, q
         else:
             value, v_n, v_d = fallback, 2, h
-        rows.append(AuditRow(case, params, formula, fb_label, fallback, value))
+        rows.append(AuditRow(case, params, formula, f"{series}{rank}", fallback, value))
         c = v_n * low_d - low_n * v_d
         if c < 0:
             low, low_n, low_d, min_cases = value, v_n, v_d, []

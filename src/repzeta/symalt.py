@@ -373,8 +373,8 @@ def wreath_tower_conditions(ells, r: int) -> WreathConditionsReport:
 
     Growth condition: log |W_{r-1}| / log l_r < 1/r.  Zeta condition:
     zeta_{A_{l_r}}(1/r) < 1 + 1/L_{r-1}, decidable exactly only when l_r is
-    small enough to enumerate partitions (l_r <= 40); otherwise reported as
-    not verifiable at desk scale.
+    small enough to enumerate partitions (l_r <= MAX_PARTITION_SIZE);
+    otherwise reported as not verifiable at desk scale.
     """
     r = integer(r, "tower level r", 1)
     ells = _layer_sizes(ells, r)

@@ -43,10 +43,9 @@ def test_displayed_cases_at_x_five():
         assert isotropic_case_bound(label, 5) == value
 
 
-def _dimension(series, rank):
-    # r(h + 1), with C1 = A1 of Coxeter number 2
-    h = 2 if (series, rank) == ("C", 1) else coxeter_number(series, rank)
-    return rank * (h + 1)
+def _coxeter(series, rank):
+    # the table refuses C1 = A1, of Coxeter number 2
+    return 2 if (series, rank) == ("C", 1) else coxeter_number(series, rank)
 
 
 @pytest.mark.parametrize("label", ["a", "b", "c", "d", "f"])
@@ -56,19 +55,26 @@ def test_family_dimension_is_that_of_its_first_fallback_type(label):
     else:
         cases = [(x,) for x in range(1, 60)]
     for parameters in cases:
-        gamma_n, gamma_d, delta, types = _family(label, *parameters)
+        gamma_n, gamma_d, delta, series, rank, h = _family(label, *parameters)
         gamma = Fraction(gamma_n, gamma_d)
-        assert delta == _dimension(*types[0])
+        assert h == _coxeter(series, rank)
+        if label == "c":
+            # delta is dim D_{x+2}, whose h is below B_{x+2}'s: B's 2/h is the least
+            assert (series, rank) == ("B", parameters[0] + 2)
+            assert h > coxeter_number("D", rank)
+            assert delta == rank * (coxeter_number("D", rank) + 1)
+        else:
+            assert delta == rank * (h + 1)
         assert isotropic_case_bound(label, *parameters) == 2 * gamma / (delta - gamma)
 
 
 def test_family_e_dimension_is_of_type_d_while_its_fallback_is_type_c():
     # the smaller 2/h of C keeps the audit conservative
     for x in range(1, 60):
-        _, _, delta, types = _family("e", x)
-        assert types == [("C", 2 * x + 1)]
-        assert delta == _dimension("D", 2 * x + 1) != _dimension("C", 2 * x + 1)
-        assert coxeter_number("C", 2 * x + 1) > coxeter_number("D", 2 * x + 1)
+        _, _, delta, series, rank, h = _family("e", x)
+        assert (series, rank, h) == ("C", 2 * x + 1, coxeter_number("C", 2 * x + 1))
+        assert delta == (2 * x + 1) * (coxeter_number("D", 2 * x + 1) + 1) != rank * (h + 1)
+        assert h > coxeter_number("D", 2 * x + 1)
 
 
 def test_unknown_family_and_missing_parameters_are_refused():
@@ -301,21 +307,6 @@ def test_numpy_integer_parameters_give_the_same_values():
     assert unified_isotropic_bound(np.int64(7)) == unified_isotropic_bound(7)
     assert isotropic_case_bound("e", np.int64(5)) == Fraction(5, 8)
     assert isotropic_abscissa_audit(np.int64(12), np.int32(12)) == isotropic_abscissa_audit(12, 12)
-
-
-@pytest.mark.parametrize("order", [("D", "B"), ("B", "D")])
-def test_first_fallback_type_of_the_largest_coxeter_number_wins_a_tie(monkeypatch, order):
-    # D_{x+3} and B_{x+2} share h = 2x + 4; no family of the paper has such a tie
-    def family_c(x):
-        rank = {"D": x + 3, "B": x + 2}
-        return x * x - 3 * x, 2, (x + 2) * (2 * x + 3), [(s, rank[s]) for s in order]
-
-    monkeypatch.setitem(repzeta.bounds._FAMILIES, "c", family_c)
-    rows = [row for row in isotropic_abscissa_audit(12, 12).rows if row.case == "c"]
-    assert [row.fallback_label for row in rows] == [
-        f"D{x + 3}" if order[0] == "D" else f"B{x + 2}" for x in range(1, 13)
-    ]
-    assert all(row.fallback == Fraction(2, 2 * x + 4) for x, row in enumerate(rows, 1))
 
 
 def test_every_row_at_the_minimum_is_named(monkeypatch):
