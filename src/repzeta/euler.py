@@ -33,7 +33,7 @@ from .sl2local import _excess, sl2_local_excess
 from .witten import DEFAULT_CENSUS_BUDGET
 
 ARCHIMEDEAN_TAIL_TOLERANCE = 1e-8
-_BLOCK = 8192  # primes per _excess call, whose nine families' arrays then stay in cache
+_BLOCK = 8192  # primes per _excess call: on the probe to 10^6, 4096 is slower and 16384 no faster
 
 
 @dataclass(frozen=True)

@@ -157,10 +157,13 @@ def dimension_census(
     if (num % rho).any():
         raise AssertionError(f"Weyl dimension formula did not divide exactly in the {rs.label()} census")
     num //= rho
-    dims, counts = np.unique(num, return_counts=True)
+    if len(counts) == 1:  # one row, a product of factors increasing in k: no degree repeats
+        degrees, mults = num.tolist(), [1] * size
+    else:
+        dims, counts = np.unique(num, return_counts=True)
+        degrees, mults = dims.tolist(), counts.tolist()
+        del dims, counts
     del num
-    degrees, mults = dims.tolist(), counts.tolist()
-    del dims, counts
     return DegreeCensus(cap=max_dim, degrees=tuple(degrees), multiplicities=tuple(mults))
 
 

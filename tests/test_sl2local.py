@@ -1,5 +1,7 @@
 """Exact SL2 local factors over compact discrete valuation rings."""
 
+import math
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import repzeta.sl2local
 from repzeta.errors import BudgetExceededError
 from repzeta.sl2local import (
     _excess,
+    _families,
     sl1_division_abscissa,
     sl2_class_count,
     sl2_degree_census,
@@ -71,6 +74,31 @@ def test_array_excess_matches_scalar_forms(primes, s):
         assert sl2_local_zeta(q, s) == 1.0 + scalar
 
 
+def _assert_within_bound(q: int, s: float, value) -> None:
+    """value is within the relative bound _excess's docstring derives, 17u below
+    2^53 and (22 + 4s)u above (u = 2^-53), of L_q(s) - 1 at 50 digits: level one
+    plus the geometric part, each a sum of m d^-s over the families of _families(q)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        terms = [m * mpmath.mpf(d) ** -mpmath.mpf(s) for d, m in _families(q)]
+        exact = sum(terms[1:6]) + sum(terms[6:]) / -mpmath.expm1((1 - mpmath.mpf(s)) * mpmath.log(q))
+        bound = (17 if q < 2**53 else 22 + 4 * s) * 2.0**-53
+        assert abs(mpmath.mpf(value) - exact) <= bound * exact, (q, s, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([3, 9, 25, 343, 999_953, 999_979, 999_983, 1_000_003, 3**41]),
+    s=st.one_of(st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+                st.floats(min_value=1.0, max_value=1.0 + 1e-6, exclude_min=True)),
+)
+def test_excess_is_within_its_error_bound(q, s):
+    # both paths against 50 digits of the nine families; 3^41 is past int64
+    _assert_within_bound(q, s, sl2_local_excess(q, s))
+    if q < 2**63:
+        _assert_within_bound(q, s, _excess(np.array([q], dtype=np.int64), s)[0])
+
+
 def test_excess_rejects_what_the_local_factor_rejects():
     for q in (15, 4, 1):
         with pytest.raises(ValueError):
@@ -84,6 +112,12 @@ def test_excess_rejects_what_the_local_factor_rejects():
     big = 3**41  # above 2^64, where numpy takes no log of an int
     exact = float(_exact_zeta(big, 2) - 1)
     assert sl2_local_excess(big, 2.0) == pytest.approx(exact, rel=1e-12, abs=0)
+    big = 3**323  # the largest power of 3 accepted: no ratio or power overflows
+    for s in (1.0001, 2.0, 3.0, 1e308, math.inf):
+        excess = sl2_local_excess(big, s)
+        assert math.isfinite(excess) and excess >= 0
+        if excess >= sys.float_info.min:  # at s = 3 it is subnormal, from s = 1e308 on 0.0
+            _assert_within_bound(big, s, excess)
     big = 3**324  # its degree q^2 + q is above the largest float
     with pytest.raises(ValueError, match=f"^q = {big} is too large: the degree q\\^2 \\+ q "
                        "overflows a float$"):
@@ -98,6 +132,11 @@ def test_excess_where_every_degree_power_underflows():
     assert sl2_local_excess(big, 3.0) == pytest.approx(big ** -2.0, rel=1e-12, abs=0)
     exact = float(_exact_zeta(big, 3) - 1)
     assert sl2_local_excess(big, 3.0) == pytest.approx(exact, rel=1e-12, abs=0)
+    # from s = 1e308 on every degree above 1 underflows: q = 3 keeps its two
+    # further linear characters, of degree (q - 1)/2 = 1, and q = 5 has none
+    for s in (1e308, math.inf):
+        assert sl2_local_excess(3, s) == 2.0 and sl2_local_excess(5, s) == 0.0
+        assert _excess(np.array([3, 5], dtype=np.int64), s).tolist() == [2.0, 0.0]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25])

@@ -113,11 +113,14 @@ def _box_scan(rs, max_dim):
     return counts
 
 
-@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("C", 2), ("G", 2)])
-def test_census_matches_box_scan(series, rank):
+# A2 at cap 2 leaves one row at the last level, as rank 1 always does
+@pytest.mark.parametrize("series,rank,cap", [("A", 1, 10_000), ("A", 2, 10_000), ("C", 2, 10_000),
+                                             ("G", 2, 10_000), ("A", 2, 2)],
+                         ids=["A-1", "A-2", "C-2", "G-2", "A-2-cap-2"])
+def test_census_matches_box_scan(series, rank, cap):
     rs = build_root_system(series, rank)
-    census = dimension_census(rs, 10_000)
-    assert dict(census.items()) == _box_scan(rs, 10_000)
+    census = dimension_census(rs, cap)
+    assert dict(census.items()) == _box_scan(rs, cap)
 
 
 @settings(max_examples=30, deadline=None)
